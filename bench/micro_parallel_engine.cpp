@@ -1,16 +1,17 @@
 // Micro-benchmarks for the sharded, batched scan pipeline (google-
 // benchmark): the enumerate hot path at three stages of the refactor —
 //
-//   legacy    one virtual ProbeOracle::responds() per in-scope address
-//             (partition locate + two binary searches each);
-//   bitmap    the batched census::SnapshotIndex oracle on one thread
-//             (masked std::popcount word scans per interval);
-//   bitmap/N  the same, sharded over an N-thread util::ThreadPool.
+//   legacy     one virtual ProbeOracle::responds() per in-scope address
+//              (partition locate + two binary searches each);
+//   indexed    the batched census::SnapshotIndex oracle on one thread
+//              (rank-directory interval queries: two /16-bounded
+//              binary searches per count, one range copy per collect);
+//   indexed/N  the same, sharded over an N-thread util::ThreadPool.
 //
 // plus the parallel attribution and evaluation stages. Throughput is
 // reported in probes (addresses) per second, so the speedup of any row
 // over `legacy` is read off directly. The acceptance target is >= 4x for
-// the batched path on an 8-core runner; the bitmap path alone typically
+// the batched path on an 8-core runner; the indexed path alone typically
 // clears that on a single core.
 #include <benchmark/benchmark.h>
 
@@ -106,7 +107,7 @@ void BM_EnumerateLegacyPerAddress(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateLegacyPerAddress)->Unit(benchmark::kMillisecond);
 
-void BM_EnumerateBitmap(benchmark::State& state) {
+void BM_EnumerateIndexed(benchmark::State& state) {
   const auto& scope = shared_scope();
   const scan::SnapshotOracle oracle(shared_snapshot());
   scan::EngineConfig config;
@@ -118,7 +119,7 @@ void BM_EnumerateBitmap(benchmark::State& state) {
   }
   report_probes(state, scope.address_count());
 }
-BENCHMARK(BM_EnumerateBitmap)
+BENCHMARK(BM_EnumerateIndexed)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

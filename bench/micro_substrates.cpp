@@ -2,7 +2,7 @@
 // trie longest-prefix match (legacy bitwise trie vs the flat LpmIndex,
 // build and lookup), deaggregation, the ZMap permutation step,
 // interval-set algebra, density ranking and selection, snapshot
-// membership and the bitmap index behind the batched oracle — the
+// membership and the rank-directory index behind the batched oracle — the
 // operations every TASS scan cycle is built from.
 //
 // For machine-readable output (BENCH tracking), run with
@@ -236,7 +236,7 @@ BENCHMARK(BM_SnapshotIndexContains);
 
 void BM_SnapshotIndexCountPerCell(benchmark::State& state) {
   // The batched oracle question the enumerate path asks: hosts per
-  // m-cell, answered by masked popcount word scans.
+  // m-cell, answered by two directory-bounded binary searches.
   const auto topology = shared_topology();
   const auto& index = shared_index();
   std::uint64_t addresses = 0;

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   }
 
   // 6. Dry-run the plan: replay one cycle against the seed snapshot with
-  //    the sharded engine's estimate path (batched bitmap counts, one
+  //    the sharded engine's estimate path (batched index counts, one
   //    shard slot per scope chunk, process-wide thread pool) — only the
   //    totals matter for planning, so no hitlist is materialised.
   scan::EngineConfig engine_config;

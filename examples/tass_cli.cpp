@@ -348,7 +348,7 @@ int run_sample(const Cli& cli) {
     auto sorted = pipeline.addresses;
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    const census::SnapshotIndex oracle(sorted);
+    const census::SnapshotIndex oracle(std::move(sorted));
     const scan::SampledScope scope(design);
     const auto result = scope.probe(
         [&](net::Ipv4Address addr) { return oracle.contains(addr); });

@@ -1,8 +1,8 @@
 #include "census/snapshot_index.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <span>
+#include <limits>
+#include <numeric>
 
 #include "census/snapshot.hpp"
 #include "util/error.hpp"
@@ -11,105 +11,62 @@ namespace tass::census {
 
 namespace {
 
-constexpr std::uint64_t kAllOnes = ~0ULL;
-
-// Walks the stored 64-bit words overlapping the inclusive interval,
-// passing each word's base address and its contents masked to the
-// interval — the one place the page/word/bit boundary arithmetic lives;
-// count and collect are both folds over this walk.
-template <typename Fn>
-void for_each_masked_word(std::span<const std::uint32_t> page_ids,
-                          std::span<const std::uint64_t> words,
-                          net::Interval interval, Fn&& fn) {
-  const std::uint32_t first = interval.first.value();
-  const std::uint32_t last = interval.last.value();
-  const auto begin =
-      std::lower_bound(page_ids.begin(), page_ids.end(),
-                       first >> SnapshotIndex::kPageBits);
-  for (auto it = begin; it != page_ids.end(); ++it) {
-    const std::uint32_t base = *it << SnapshotIndex::kPageBits;
-    if (base > last) break;
-    const std::uint32_t lo = std::max(first, base);
-    const std::uint32_t hi =
-        std::min(last, base + (SnapshotIndex::kPageSize - 1));
-    const std::uint32_t w_lo = (lo - base) >> 6;
-    const std::uint32_t w_hi = (hi - base) >> 6;
-    const std::uint64_t* page =
-        &words[static_cast<std::size_t>(it - page_ids.begin()) *
-               SnapshotIndex::kWordsPerPage];
-    for (std::uint32_t w = w_lo; w <= w_hi; ++w) {
-      std::uint64_t word = page[w];
-      if (w == w_lo) word &= kAllOnes << ((lo - base) & 63);
-      if (w == w_hi) word &= kAllOnes >> (63 - ((hi - base) & 63));
-      fn(base + (w << 6), word);
-    }
-  }
-}
+// Directory granularity: one entry per /16.
+constexpr std::uint32_t kBucketBits = 16;
+constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
 
 }  // namespace
 
-SnapshotIndex::SnapshotIndex(const Snapshot& snapshot) {
-  insert_sorted(snapshot.addresses());
-}
+SnapshotIndex::SnapshotIndex(const Snapshot& snapshot)
+    : SnapshotIndex(snapshot.addresses()) {}
 
-SnapshotIndex::SnapshotIndex(const std::vector<std::uint32_t>& addresses) {
-  insert_sorted(addresses);
-}
-
-void SnapshotIndex::insert_sorted(const std::vector<std::uint32_t>& addresses) {
-  for (std::size_t i = 0; i < addresses.size(); ++i) {
-    const std::uint32_t addr = addresses[i];
-    TASS_EXPECTS(i == 0 || addresses[i - 1] < addr);
-    const std::uint32_t page_id = addr >> kPageBits;
-    if (page_ids_.empty() || page_ids_.back() != page_id) {
-      page_ids_.push_back(page_id);
-      words_.resize(words_.size() + kWordsPerPage, 0);
-    }
-    const std::uint32_t offset = addr & (kPageSize - 1);
-    std::uint64_t* page = &words_[(page_ids_.size() - 1) * kWordsPerPage];
-    page[offset >> 6] |= 1ULL << (offset & 63);
+SnapshotIndex::SnapshotIndex(std::vector<std::uint32_t> addresses)
+    : hosts_(std::move(addresses)) {
+  // Slots are stored as 32-bit offsets, so the end slot must fit too.
+  TASS_EXPECTS(hosts_.size() <= std::numeric_limits<std::uint32_t>::max());
+  directory_.assign(kBuckets + 1, 0);
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    TASS_EXPECTS(i == 0 || hosts_[i - 1] < hosts_[i]);
+    ++directory_[(hosts_[i] >> kBucketBits) + 1];
   }
-  total_ = addresses.size();
+  std::partial_sum(directory_.begin(), directory_.end(), directory_.begin());
 }
 
-std::size_t SnapshotIndex::page_lower_bound(
-    std::uint32_t page_id) const noexcept {
-  return static_cast<std::size_t>(
-      std::lower_bound(page_ids_.begin(), page_ids_.end(), page_id) -
-      page_ids_.begin());
+std::size_t SnapshotIndex::lower(std::uint32_t addr) const noexcept {
+  if (directory_.empty()) return 0;
+  const std::uint32_t bucket = addr >> kBucketBits;
+  const auto begin = hosts_.begin() + directory_[bucket];
+  const auto end = hosts_.begin() + directory_[bucket + 1];
+  return static_cast<std::size_t>(std::lower_bound(begin, end, addr) -
+                                  hosts_.begin());
+}
+
+std::pair<std::size_t, std::size_t> SnapshotIndex::slots(
+    net::Interval interval) const noexcept {
+  const std::uint32_t last = interval.last.value();
+  const std::size_t lo = lower(interval.first.value());
+  const std::size_t hi = last == std::numeric_limits<std::uint32_t>::max()
+                             ? hosts_.size()
+                             : lower(last + 1);
+  return {lo, std::max(lo, hi)};
 }
 
 bool SnapshotIndex::contains(net::Ipv4Address addr) const noexcept {
-  const std::uint32_t page_id = addr.value() >> kPageBits;
-  const std::size_t slot = page_lower_bound(page_id);
-  if (slot == page_ids_.size() || page_ids_[slot] != page_id) return false;
-  const std::uint32_t offset = addr.value() & (kPageSize - 1);
-  const std::uint64_t word = words_[slot * kWordsPerPage + (offset >> 6)];
-  return (word >> (offset & 63)) & 1;
+  const std::size_t slot = lower(addr.value());
+  return slot < hosts_.size() && hosts_[slot] == addr.value();
 }
 
 std::uint64_t SnapshotIndex::count_responsive(
     net::Interval interval) const noexcept {
-  std::uint64_t total = 0;
-  for_each_masked_word(page_ids_, words_, interval,
-                       [&](std::uint32_t, std::uint64_t word) {
-                         total += static_cast<std::uint64_t>(
-                             std::popcount(word));
-                       });
-  return total;
+  const auto [lo, hi] = slots(interval);
+  return hi - lo;
 }
 
 void SnapshotIndex::collect_responsive(net::Interval interval,
                                        std::vector<std::uint32_t>& out) const {
-  for_each_masked_word(page_ids_, words_, interval,
-                       [&](std::uint32_t word_base, std::uint64_t word) {
-                         while (word != 0) {
-                           const unsigned bit = static_cast<unsigned>(
-                               std::countr_zero(word));
-                           out.push_back(word_base + bit);
-                           word &= word - 1;
-                         }
-                       });
+  const auto [lo, hi] = slots(interval);
+  out.insert(out.end(), hosts_.begin() + static_cast<std::ptrdiff_t>(lo),
+             hosts_.begin() + static_cast<std::ptrdiff_t>(hi));
 }
 
 }  // namespace tass::census

@@ -1,19 +1,26 @@
-// SnapshotIndex: a paged bitmap over a snapshot's responsive addresses.
+// SnapshotIndex: a rank directory over a snapshot's responsive addresses.
 //
 // Snapshot::contains() answers one membership query with a partition
 // locate plus two binary searches — fine for spot checks, ruinous when a
 // simulated scan asks it once per in-scope address (billions of probes
-// per cycle). The index flattens the snapshot into one bit per /32,
-// stored as 64-bit words grouped into /16 pages that are only allocated
-// where hosts exist, so interval queries become masked std::popcount
-// word scans: counting a /16 costs 1024 popcounts instead of 65536
-// virtual calls.
+// per cycle). The index keeps the responsive addresses as one ascending
+// array plus a 65 537-entry directory holding the first array slot of
+// every /16, so the rank of any address (the number of hosts below it)
+// is a binary search inside one /16's slice. Interval queries are two
+// ranks: counting is a subtraction and collecting is one range copy,
+// whatever the width of the interval.
+//
+// Memory: 4 B per host plus a fixed 256 KiB directory. A /32 bitmap
+// costs 8 KiB per occupied /16 instead, so the array is the smaller
+// store below ~3% density inside occupied /16s — well above the <2% hit
+// rates Internet-wide scans see.
 //
 // This is the batched oracle behind the scan engine's enumerate path and
 // the same reduce-then-count idiom ipset-style prefix accounting uses.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/interval.hpp"
@@ -25,20 +32,15 @@ class Snapshot;
 
 class SnapshotIndex {
  public:
-  /// Page granularity: one page covers a /16 (65536 bits = 8 KiB).
-  static constexpr std::uint32_t kPageBits = 16;
-  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
-  static constexpr std::uint32_t kWordsPerPage = kPageSize / 64;
-
   SnapshotIndex() = default;
 
-  /// Builds the bitmap from every responsive address of the snapshot.
+  /// Indexes every responsive address of the snapshot.
   explicit SnapshotIndex(const Snapshot& snapshot);
 
-  /// Builds from an ascending, duplicate-free address list.
-  explicit SnapshotIndex(const std::vector<std::uint32_t>& addresses);
+  /// Indexes an ascending, duplicate-free address list.
+  explicit SnapshotIndex(std::vector<std::uint32_t> addresses);
 
-  /// True if the address bit is set.
+  /// True if the address is responsive.
   bool contains(net::Ipv4Address addr) const noexcept;
 
   /// Number of responsive addresses inside the inclusive interval.
@@ -49,22 +51,19 @@ class SnapshotIndex {
   void collect_responsive(net::Interval interval,
                           std::vector<std::uint32_t>& out) const;
 
-  /// Total set bits.
-  std::uint64_t total_responsive() const noexcept { return total_; }
-
-  /// Pages materialised (≈ distinct occupied /16s; exposed for tests and
-  /// memory accounting).
-  std::size_t page_count() const noexcept { return page_ids_.size(); }
+  /// Total responsive addresses.
+  std::uint64_t total_responsive() const noexcept { return hosts_.size(); }
 
  private:
-  void insert_sorted(const std::vector<std::uint32_t>& addresses);
-  // Index into page_ids_/words_ of the page covering `page_id`, or
-  // page_ids_.size() if absent; lower-bound semantics for range scans.
-  std::size_t page_lower_bound(std::uint32_t page_id) const noexcept;
+  // Slot of the first host >= addr (hosts_.size() if none).
+  std::size_t lower(std::uint32_t addr) const noexcept;
+  // Slots [lower(first), lower(last + 1)) of the inclusive interval
+  // (an empty range if first > last).
+  std::pair<std::size_t, std::size_t> slots(
+      net::Interval interval) const noexcept;
 
-  std::vector<std::uint32_t> page_ids_;  // ascending page numbers (addr>>16)
-  std::vector<std::uint64_t> words_;     // kWordsPerPage words per page
-  std::uint64_t total_ = 0;
+  std::vector<std::uint32_t> hosts_;      // ascending, duplicate-free
+  std::vector<std::uint32_t> directory_;  // first slot of each /16, + end
 };
 
 }  // namespace tass::census

@@ -9,7 +9,7 @@
 // The hot path runs on a parallel substrate: util::ThreadPool shards
 // work deterministically (results are bit-identical for any thread
 // count), census::SnapshotIndex turns per-address oracle probes into
-// masked-popcount bitmap scans, and the scan engine, attribution and
+// rank-directory interval queries, and the scan engine, attribution and
 // evaluation stages all fan out over the process-wide pool. Threading
 // knobs: scan::EngineConfig::threads, core::AttributionConfig::threads,
 // core::EvaluationConfig::threads (1 = sequential, 0 = hardware).

@@ -55,12 +55,13 @@ class ProbeOracle {
 };
 
 /// Oracle backed by a census ground-truth snapshot. Builds a
-/// census::SnapshotIndex bitmap once so batched interval queries are
-/// masked popcount word scans instead of per-address binary searches.
+/// census::SnapshotIndex rank directory once so batched interval queries
+/// are two directory-bounded binary searches (plus one range copy for
+/// collect) instead of per-address membership probes.
 class SnapshotOracle final : public ProbeOracle {
  public:
   explicit SnapshotOracle(const census::Snapshot& snapshot)
-      : snapshot_(&snapshot), index_(snapshot) {}
+      : index_(snapshot) {}
 
   bool responds(net::Ipv4Address addr) const override {
     return index_.contains(addr);
@@ -73,11 +74,7 @@ class SnapshotOracle final : public ProbeOracle {
     index_.collect_responsive(interval, out);
   }
 
-  const census::Snapshot& snapshot() const noexcept { return *snapshot_; }
-  const census::SnapshotIndex& index() const noexcept { return index_; }
-
  private:
-  const census::Snapshot* snapshot_;
   census::SnapshotIndex index_;
 };
 
