@@ -2,8 +2,9 @@
 // trie longest-prefix match (legacy bitwise trie vs the flat LpmIndex,
 // build and lookup), deaggregation, the ZMap permutation step,
 // interval-set algebra, density ranking and selection, snapshot
-// membership and the rank-directory index behind the batched oracle — the
-// operations every TASS scan cycle is built from.
+// membership and the rank-directory index behind the batched oracle, and
+// the text ingest (hitlist and pfx2as parsing) — the operations every
+// TASS scan cycle is built from.
 //
 // For machine-readable output (BENCH tracking), run with
 //   micro_substrates --benchmark_format=json
@@ -11,13 +12,19 @@
 // comparison that always emits JSON.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "bgp/deaggregate.hpp"
+#include "bgp/pfx2as.hpp"
+#include "census/hitlist6.hpp"
 #include "census/population.hpp"
 #include "census/snapshot_index.hpp"
 #include "census/topology.hpp"
 #include "core/ranking.hpp"
 #include "core/selection.hpp"
 #include "net/interval.hpp"
+#include "net/ipv6.hpp"
+#include "net/prefix.hpp"
 #include "scan/target_iterator.hpp"
 #include "trie/lpm_index.hpp"
 #include "trie/prefix_set.hpp"
@@ -268,5 +275,78 @@ void BM_ThreadPoolForEachShard(benchmark::State& state) {
                           64);
 }
 BENCHMARK(BM_ThreadPoolForEachShard)->Arg(1)->Arg(4);
+
+// Text ingest: fixed-size generated documents, so a regression in the
+// line/field scans or the address parsers shows here on its own.
+constexpr std::size_t kIngestLines = 50000;
+
+const std::string& hitlist6_document() {
+  static const std::string text = [] {
+    util::Rng rng(6);
+    std::string out = "# generated hitlist\n";
+    for (std::size_t i = 0; i < kIngestLines; ++i) {
+      // Hosts under a few hundred /32s with sparse interface ids, the
+      // shape real hitlists have (and so "::" runs of mixed lengths).
+      const std::uint64_t hi = (0x20010000ULL | rng.bounded(512)) << 32 |
+                               rng.bounded(1ULL << 32);
+      const std::uint64_t lo = rng.bounded(2) == 0 ? rng.bounded(0x10000)
+                                                   : rng();
+      out += net::Ipv6Address(hi, lo).to_string();
+      out += '\n';
+    }
+    return out;
+  }();
+  return text;
+}
+
+const std::string& pfx2as_document() {
+  static const std::string text = [] {
+    util::Rng rng(4);
+    std::string out = "# generated pfx2as\n";
+    for (std::size_t i = 0; i < kIngestLines; ++i) {
+      const int length = 8 + static_cast<int>(rng.bounded(17));
+      const net::Prefix prefix(
+          net::Ipv4Address(static_cast<std::uint32_t>(rng())), length);
+      out += prefix.network().to_string();
+      out += '\t';
+      out += std::to_string(length);
+      out += '\t';
+      out += std::to_string(1 + rng.bounded(65000));
+      // A few multi-origin and AS-set fields, as in CAIDA dumps.
+      for (const char separator : {',', '_'}) {
+        if (rng.bounded(20) != 0) continue;
+        out += separator;
+        out += std::to_string(rng.bounded(65000));
+      }
+      out += '\n';
+    }
+    return out;
+  }();
+  return text;
+}
+
+void BM_ParseHitlist6(benchmark::State& state) {
+  const std::string& text = hitlist6_document();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(census::parse_hitlist6(text).size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kIngestLines));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseHitlist6);
+
+void BM_ParsePfx2As(benchmark::State& state) {
+  const std::string& text = pfx2as_document();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bgp::parse_pfx2as(text).size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kIngestLines));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParsePfx2As);
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "bgp/pfx2as.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <sstream>
 
@@ -13,25 +14,42 @@ namespace {
 
 // Origin field grammar: comma-separated origin alternatives, each either a
 // plain ASN or an underscore-joined AS-set. We flatten to the union of ASNs,
-// preserving first-seen order.
+// preserving first-seen order. Both separators delimit one ASN token, so
+// one pass over the field finds them all; every token, empty ones
+// included, must be an ASN.
 std::vector<std::uint32_t> parse_origins(std::string_view field) {
   std::vector<std::uint32_t> origins;
-  for (const std::string_view alternative : util::split(field, ',')) {
-    for (const std::string_view token : util::split(alternative, '_')) {
-      const auto asn = util::parse_u32(util::trim(token));
-      if (!asn) {
-        throw ParseError("invalid ASN in pfx2as origin field: '" +
-                         std::string(field) + "'");
-      }
-      if (std::find(origins.begin(), origins.end(), *asn) == origins.end()) {
-        origins.push_back(*asn);
-      }
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i <= field.size(); ++i) {
+    if (i < field.size() && field[i] != ',' && field[i] != '_') continue;
+    const auto asn = util::parse_u32(field.substr(begin, i - begin));
+    if (!asn) {
+      throw ParseError("invalid ASN in pfx2as origin field: '" +
+                       std::string(field) + "'");
     }
-  }
-  if (origins.empty()) {
-    throw ParseError("empty pfx2as origin field");
+    if (std::find(origins.begin(), origins.end(), *asn) == origins.end()) {
+      origins.push_back(*asn);
+    }
+    begin = i + 1;
   }
   return origins;
+}
+
+// The three whitespace-separated fields of a pfx2as line: network,
+// length, origins.
+std::array<std::string_view, 3> split_fields(std::string_view line) {
+  std::array<std::string_view, 3> fields;
+  std::size_t count = 0;
+  util::FieldCursor cursor(line);
+  for (std::string_view field; cursor.next(field); ++count) {
+    if (count < fields.size()) fields[count] = field;
+  }
+  if (count != fields.size()) {
+    throw ParseError("pfx2as line must have 3 fields, got " +
+                     std::to_string(count) + ": '" + std::string(line) +
+                     "'");
+  }
+  return fields;
 }
 
 // Shared document loop: both families skip blanks/comments and apply the
@@ -42,7 +60,8 @@ std::vector<Record> parse_document(std::string_view text, bool strict,
                                    LineParser&& parse_line) {
   std::vector<Record> records;
   std::size_t skip_count = 0;
-  for (const std::string_view raw : util::split(text, '\n')) {
+  util::LineCursor lines(text);
+  for (std::string_view raw; lines.next(raw);) {
     const std::string_view line = util::trim(raw);
     if (line.empty() || line.front() == '#') continue;
     if (strict) {
@@ -62,12 +81,7 @@ std::vector<Record> parse_document(std::string_view text, bool strict,
 }  // namespace
 
 Pfx2AsRecord parse_pfx2as_line(std::string_view line) {
-  const auto fields = util::split_whitespace(line);
-  if (fields.size() != 3) {
-    throw ParseError("pfx2as line must have 3 fields, got " +
-                     std::to_string(fields.size()) + ": '" +
-                     std::string(line) + "'");
-  }
+  const auto fields = split_fields(line);
   const auto network = net::Ipv4Address::parse(fields[0]);
   if (!network) {
     throw ParseError("invalid network in pfx2as line: '" +
@@ -93,12 +107,7 @@ std::vector<Pfx2AsRecord> load_pfx2as(const std::string& path, bool strict) {
 }
 
 Pfx2As6Record parse_pfx2as6_line(std::string_view line) {
-  const auto fields = util::split_whitespace(line);
-  if (fields.size() != 3) {
-    throw ParseError("pfx2as line must have 3 fields, got " +
-                     std::to_string(fields.size()) + ": '" +
-                     std::string(line) + "'");
-  }
+  const auto fields = split_fields(line);
   const auto network = net::Ipv6Address::parse(fields[0]);
   if (!network) {
     throw ParseError("invalid IPv6 network in pfx2as line: '" +

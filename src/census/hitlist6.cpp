@@ -10,7 +10,8 @@ std::vector<net::Ipv6Address> parse_hitlist6(std::string_view text,
                                              std::size_t* skipped) {
   std::vector<net::Ipv6Address> addresses;
   std::size_t skip_count = 0;
-  for (const std::string_view raw : util::split(text, '\n')) {
+  util::LineCursor lines(text);
+  for (std::string_view raw; lines.next(raw);) {
     const std::string_view line = util::trim(raw);
     if (line.empty() || line.front() == '#') continue;
     const auto address = net::Ipv6Address::parse(line);

@@ -14,7 +14,8 @@ std::vector<std::uint32_t> parse_address_list(std::string_view text,
                                               std::size_t* skipped) {
   std::vector<std::uint32_t> addresses;
   std::size_t skip_count = 0;
-  for (const std::string_view raw : util::split(text, '\n')) {
+  util::LineCursor lines(text);
+  for (std::string_view raw; lines.next(raw);) {
     std::string_view line = util::trim(raw);
     if (line.empty() || line.front() == '#') continue;
     // CSV exports: the address is the first field.

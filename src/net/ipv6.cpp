@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <vector>
 
 #include "net/ipv4.hpp"
 #include "util/error.hpp"
@@ -12,48 +11,24 @@ namespace tass::net {
 
 namespace {
 
-std::optional<std::uint16_t> parse_group(std::string_view text) noexcept {
-  if (text.empty() || text.size() > 4) return std::nullopt;
-  std::uint32_t value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint32_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      value |= static_cast<std::uint32_t>(c - 'A' + 10);
-    } else {
-      return std::nullopt;
-    }
+// Hex-digit values by byte; kNotHex marks every other byte.
+constexpr std::uint8_t kNotHex = 0xff;
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kNotHex);
+  for (int c = '0'; c <= '9'; ++c) {
+    table[static_cast<std::size_t>(c)] = static_cast<std::uint8_t>(c - '0');
   }
-  return static_cast<std::uint16_t>(value);
-}
-
-// Parses a colon-separated group list (no "::" inside) into `groups`,
-// allowing a trailing dotted-quad that contributes two groups.
-bool parse_group_run(std::string_view text,
-                     std::vector<std::uint16_t>& groups) noexcept {
-  if (text.empty()) return true;
-  const auto tokens = util::split(text, ':');
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i].find('.') != std::string_view::npos) {
-      // Embedded IPv4: only valid as the final token.
-      if (i + 1 != tokens.size()) return false;
-      const auto v4 = Ipv4Address::parse(tokens[i]);
-      if (!v4) return false;
-      groups.push_back(static_cast<std::uint16_t>(v4->value() >> 16));
-      groups.push_back(static_cast<std::uint16_t>(v4->value() & 0xffff));
-      continue;
-    }
-    const auto group = parse_group(tokens[i]);
-    if (!group) return false;
-    groups.push_back(*group);
+  for (int c = 'a'; c <= 'f'; ++c) {
+    table[static_cast<std::size_t>(c)] =
+        static_cast<std::uint8_t>(c - 'a' + 10);
+    table[static_cast<std::size_t>(c - 'a' + 'A')] =
+        static_cast<std::uint8_t>(c - 'a' + 10);
   }
-  return true;
-}
+  return table;
+}();
 
-Ipv6Address from_groups(const std::array<std::uint16_t, 8>& groups) {
+Ipv6Address from_groups(const std::array<std::uint16_t, 8>& groups) noexcept {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
   for (int i = 0; i < 4; ++i) {
@@ -63,33 +38,83 @@ Ipv6Address from_groups(const std::array<std::uint16_t, 8>& groups) {
   return Ipv6Address(hi, lo);
 }
 
+// "addr/len"; `strict` also rejects host bits set below the mask.
+std::optional<Ipv6Prefix> parse_prefix(std::string_view text,
+                                       bool strict) noexcept {
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return std::nullopt;
+  const auto address = Ipv6Address::parse(text.substr(0, slash));
+  if (!address) return std::nullopt;
+  const auto length = util::parse_u32(text.substr(slash + 1));
+  if (!length || *length > 128) return std::nullopt;
+  const Ipv6Prefix prefix(*address, static_cast<int>(*length));
+  if (strict && prefix.network() != *address) return std::nullopt;
+  return prefix;
+}
+
 }  // namespace
 
 std::optional<Ipv6Address> Ipv6Address::parse(std::string_view text) noexcept {
-  const std::size_t gap = text.find("::");
-  std::vector<std::uint16_t> head;
-  std::vector<std::uint16_t> tail;
-  if (gap == std::string_view::npos) {
-    if (!parse_group_run(text, head)) return std::nullopt;
-    if (head.size() != 8) return std::nullopt;
-  } else {
-    if (text.find("::", gap + 1) != std::string_view::npos) {
-      return std::nullopt;  // at most one "::"
-    }
-    // An embedded IPv4 tail is only legal at the very end of the address,
-    // i.e. never in the run before "::".
-    if (text.substr(0, gap).find('.') != std::string_view::npos) {
-      return std::nullopt;
-    }
-    if (!parse_group_run(text.substr(0, gap), head)) return std::nullopt;
-    if (!parse_group_run(text.substr(gap + 2), tail)) return std::nullopt;
-    if (head.size() + tail.size() > 7) return std::nullopt;
-  }
-
+  // One left-to-right pass: groups land in `groups` in text order and
+  // `gap` records how many preceded the "::", if there is one.
   std::array<std::uint16_t, 8> groups{};
-  for (std::size_t i = 0; i < head.size(); ++i) groups[i] = head[i];
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    groups[8 - tail.size() + i] = tail[i];
+  std::size_t count = 0;
+  std::size_t gap = groups.size();  // no "::" seen
+  const std::size_t n = text.size();
+  std::size_t i = 0;
+  if (n >= 2 && text[0] == ':' && text[1] == ':') {
+    gap = 0;
+    i = 2;
+  }
+  while (i < n) {
+    // A group of 1-4 hex digits, or a dotted quad ending the text.
+    const std::size_t start = i;
+    std::uint32_t value = 0;
+    for (; i < n; ++i) {
+      const std::uint8_t digit =
+          kHexValue[static_cast<unsigned char>(text[i])];
+      if (digit == kNotHex) break;
+      if (i - start == 4) return std::nullopt;  // no group or octet is 5 long
+      value = (value << 4) | digit;
+    }
+    if (i < n && text[i] == '.') {
+      // Embedded IPv4: the rest of the text must be exactly one dotted
+      // quad, which also rules it out anywhere before a "::".
+      if (count + 2 > groups.size()) return std::nullopt;
+      const auto v4 = Ipv4Address::parse(text.substr(start));
+      if (!v4) return std::nullopt;
+      groups[count++] = static_cast<std::uint16_t>(v4->value() >> 16);
+      groups[count++] = static_cast<std::uint16_t>(v4->value() & 0xffff);
+      break;
+    }
+    if (i == start || count == groups.size()) return std::nullopt;
+    groups[count++] = static_cast<std::uint16_t>(value);
+    if (i == n) break;
+    if (text[i] != ':') return std::nullopt;
+    ++i;
+    if (i < n && text[i] == ':') {
+      // At most one "::", and it stands for at least one zero group.
+      if (gap != groups.size() || count == groups.size()) {
+        return std::nullopt;
+      }
+      gap = count;
+      ++i;
+    } else if (i == n) {
+      return std::nullopt;  // a single trailing ':'
+    }
+  }
+  if (gap == groups.size()) {
+    if (count != groups.size()) return std::nullopt;
+  } else {
+    // Move the groups after "::" to the end and zero the run between,
+    // which must again be at least one group long.
+    if (count == groups.size()) return std::nullopt;
+    const std::size_t tail = count - gap;
+    const std::size_t shift = groups.size() - count;
+    for (std::size_t k = tail; k-- > 0;) {
+      groups[gap + shift + k] = groups[gap + k];
+    }
+    for (std::size_t k = gap; k < gap + shift; ++k) groups[k] = 0;
   }
   return from_groups(groups);
 }
@@ -144,26 +169,12 @@ std::string Ipv6Address::to_string() const {
 }
 
 std::optional<Ipv6Prefix> Ipv6Prefix::parse(std::string_view text) noexcept {
-  const std::size_t slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  const auto address = Ipv6Address::parse(text.substr(0, slash));
-  if (!address) return std::nullopt;
-  const auto length = util::parse_u32(text.substr(slash + 1));
-  if (!length || *length > 128) return std::nullopt;
-  return Ipv6Prefix(*address, static_cast<int>(*length));
+  return parse_prefix(text, /*strict=*/false);
 }
 
 std::optional<Ipv6Prefix> Ipv6Prefix::parse_strict(
     std::string_view text) noexcept {
-  const std::size_t slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  const auto address = Ipv6Address::parse(text.substr(0, slash));
-  if (!address) return std::nullopt;
-  const auto length = util::parse_u32(text.substr(slash + 1));
-  if (!length || *length > 128) return std::nullopt;
-  const Ipv6Prefix prefix(*address, static_cast<int>(*length));
-  if (prefix.network() != *address) return std::nullopt;  // host bits set
-  return prefix;
+  return parse_prefix(text, /*strict=*/true);
 }
 
 Ipv6Prefix Ipv6Prefix::parse_or_throw(std::string_view text) {

@@ -13,7 +13,8 @@ namespace tass::scan {
 Blocklist Blocklist::parse(std::string_view text) {
   net::IntervalSet blocked;
   std::vector<net::Ipv6Prefix> blocked6;
-  for (const std::string_view raw : util::split(text, '\n')) {
+  util::LineCursor lines(text);
+  for (std::string_view raw; lines.next(raw);) {
     std::string_view line = raw;
     if (const auto hash = line.find('#'); hash != std::string_view::npos) {
       line = line.substr(0, hash);

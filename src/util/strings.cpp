@@ -1,6 +1,5 @@
 #include "util/strings.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -18,47 +17,6 @@ std::string read_text_file(const std::string& path, const char* what) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-std::vector<std::string_view> split(std::string_view text, char delimiter) {
-  std::vector<std::string_view> fields;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t end = text.find(delimiter, begin);
-    if (end == std::string_view::npos) {
-      fields.push_back(text.substr(begin));
-      return fields;
-    }
-    fields.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-}
-
-std::vector<std::string_view> split_whitespace(std::string_view text) {
-  std::vector<std::string_view> fields;
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  while (i < n) {
-    while (i < n && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    const std::size_t begin = i;
-    while (i < n && !std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    if (i > begin) fields.push_back(text.substr(begin, i - begin));
-  }
-  return fields;
-}
-
-std::string_view trim(std::string_view text) noexcept {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {

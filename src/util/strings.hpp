@@ -1,25 +1,79 @@
 // Small string utilities used by the text-format parsers (pfx2as,
-// blocklists, CLI arguments). All functions operate on string_view and never
-// allocate unless they return std::string/vector.
+// hitlists, blocklists, CLI arguments). The scanning helpers (trim, the
+// line and field cursors, the numeric parsers) work on string_view and
+// never allocate; only the functions returning std::string do.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tass::util {
 
-/// Splits on a single-character delimiter. Empty fields are preserved
-/// ("a,,b" -> {"a", "", "b"}); an empty input yields one empty field.
-std::vector<std::string_view> split(std::string_view text, char delimiter);
+/// ASCII whitespace as the C locale's isspace defines it.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
-/// Splits on any amount of ASCII whitespace; empty fields are discarded.
-std::vector<std::string_view> split_whitespace(std::string_view text);
+/// Walks a document line by line without allocating. Each next() yields
+/// one line without its '\n' (a CRLF line keeps its '\r', which trim()
+/// removes). The last line needs no terminator; a terminator at the very
+/// end opens no further line, and empty text has no lines at all.
+class LineCursor {
+ public:
+  constexpr explicit LineCursor(std::string_view text) noexcept
+      : rest_(text) {}
+
+  /// Stores the next line in `line`; false once the text is exhausted.
+  constexpr bool next(std::string_view& line) noexcept {
+    if (rest_.empty()) return false;
+    const std::size_t end = rest_.find('\n');
+    if (end == std::string_view::npos) {
+      line = rest_;
+      rest_ = {};
+    } else {
+      line = rest_.substr(0, end);
+      rest_.remove_prefix(end + 1);
+    }
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// Walks the whitespace-separated fields of a line without allocating:
+/// runs of whitespace separate fields and never yield empty ones.
+class FieldCursor {
+ public:
+  constexpr explicit FieldCursor(std::string_view text) noexcept
+      : rest_(text) {}
+
+  /// Stores the next field in `field`; false once none is left.
+  constexpr bool next(std::string_view& field) noexcept {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && is_space(rest_[begin])) ++begin;
+    if (begin == rest_.size()) return false;
+    std::size_t end = begin;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    field = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+};
 
 /// Removes leading and trailing ASCII whitespace.
-std::string_view trim(std::string_view text) noexcept;
+constexpr std::string_view trim(std::string_view text) noexcept {
+  std::size_t begin = 0;
+  std::size_t end = text.size();
+  while (begin < end && is_space(text[begin])) ++begin;
+  while (end > begin && is_space(text[end - 1])) --end;
+  return text.substr(begin, end - begin);
+}
 
 /// Strict base-10 unsigned parse of the full string; rejects empty input,
 /// signs, leading '+', whitespace, and overflow.

@@ -801,3 +801,300 @@ TEST(StreamFramerCorruption, EveryTruncationOfValidStreamIsClean) {
 
 }  // namespace
 }  // namespace tass::stream
+
+// --- IPv6 text ---------------------------------------------------------
+//
+// Ipv6Address::parse is a single table-driven pass. Its reference here
+// is the split-based grammar it replaced, kept test-local: split the
+// text at its one "::", split each side on ':', parse 1-4 hex digits
+// per group and a dotted quad only as the very last token. The two must
+// agree on accept/reject and on the value for every mutated input. The
+// hitlist and pfx2as6 documents built on it must parse or throw
+// ParseError under truncation and byte flips.
+
+#include <array>
+#include <cstdio>
+#include <optional>
+#include <string_view>
+
+#include "census/hitlist6.hpp"
+#include "net/ipv4.hpp"
+#include "net/ipv6.hpp"
+
+namespace tass::net {
+namespace {
+
+std::vector<std::string_view> reference_split(std::string_view text,
+                                              char delimiter) {
+  std::vector<std::string_view> fields;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = text.find(delimiter, begin);
+    if (end == std::string_view::npos) {
+      fields.push_back(text.substr(begin));
+      return fields;
+    }
+    fields.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+}
+
+std::optional<std::uint16_t> reference_group(std::string_view text) {
+  if (text.empty() || text.size() > 4) return std::nullopt;
+  std::uint32_t value = 0;
+  for (const char c : text) {
+    value <<= 4;
+    if (c >= '0' && c <= '9') {
+      value |= static_cast<std::uint32_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      value |= static_cast<std::uint32_t>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      value |= static_cast<std::uint32_t>(c - 'A' + 10);
+    } else {
+      return std::nullopt;
+    }
+  }
+  return static_cast<std::uint16_t>(value);
+}
+
+bool reference_group_run(std::string_view text,
+                         std::vector<std::uint16_t>& groups) {
+  if (text.empty()) return true;
+  const auto tokens = reference_split(text, ':');
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i].find('.') != std::string_view::npos) {
+      if (i + 1 != tokens.size()) return false;
+      const auto v4 = Ipv4Address::parse(tokens[i]);
+      if (!v4) return false;
+      groups.push_back(static_cast<std::uint16_t>(v4->value() >> 16));
+      groups.push_back(static_cast<std::uint16_t>(v4->value() & 0xffff));
+      continue;
+    }
+    const auto group = reference_group(tokens[i]);
+    if (!group) return false;
+    groups.push_back(*group);
+  }
+  return true;
+}
+
+std::optional<Ipv6Address> reference_parse(std::string_view text) {
+  const std::size_t gap = text.find("::");
+  std::vector<std::uint16_t> head;
+  std::vector<std::uint16_t> tail;
+  if (gap == std::string_view::npos) {
+    if (!reference_group_run(text, head) || head.size() != 8) {
+      return std::nullopt;
+    }
+  } else {
+    if (text.find("::", gap + 1) != std::string_view::npos) {
+      return std::nullopt;
+    }
+    if (text.substr(0, gap).find('.') != std::string_view::npos) {
+      return std::nullopt;
+    }
+    if (!reference_group_run(text.substr(0, gap), head) ||
+        !reference_group_run(text.substr(gap + 2), tail) ||
+        head.size() + tail.size() > 7) {
+      return std::nullopt;
+    }
+  }
+  std::array<std::uint16_t, 8> groups{};
+  for (std::size_t i = 0; i < head.size(); ++i) groups[i] = head[i];
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    groups[8 - tail.size() + i] = tail[i];
+  }
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    hi = (hi << 16) | groups[i];
+    lo = (lo << 16) | groups[i + 4];
+  }
+  return Ipv6Address(hi, lo);
+}
+
+constexpr std::string_view kMutationAlphabet = "0123456789abcdefABCDEF:. g/";
+
+// A random address in one of the text forms the parser must accept:
+// RFC 5952 canonical, full-length zero-padded upper case, or with a
+// trailing dotted quad.
+std::string random_address_text(util::Rng& rng) {
+  std::array<std::uint16_t, 8> groups{};
+  for (std::uint16_t& group : groups) {
+    // Zero groups are common so "::" runs of every length appear.
+    group = rng.bounded(3) == 0
+                ? 0
+                : static_cast<std::uint16_t>(rng.bounded(0x10000));
+  }
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    hi = (hi << 16) | groups[i];
+    lo = (lo << 16) | groups[i + 4];
+  }
+  char buffer[64];
+  switch (rng.bounded(3)) {
+    case 0:
+      return Ipv6Address(hi, lo).to_string();
+    case 1:
+      std::snprintf(buffer, sizeof(buffer),
+                    "%04X:%04X:%04X:%04X:%04X:%04X:%04X:%04X", groups[0],
+                    groups[1], groups[2], groups[3], groups[4], groups[5],
+                    groups[6], groups[7]);
+      return buffer;
+    default:
+      std::snprintf(buffer, sizeof(buffer), "%x:%x:%x:%x:%x:%x:%u.%u.%u.%u",
+                    groups[0], groups[1], groups[2], groups[3], groups[4],
+                    groups[5], groups[6] >> 8, groups[6] & 0xff,
+                    groups[7] >> 8, groups[7] & 0xff);
+      return buffer;
+  }
+}
+
+// One to four insertions, deletions or substitutions drawn from the
+// characters the grammar cares about plus a few it must reject.
+void mutate(std::string& text, util::Rng& rng) {
+  const std::size_t edits = 1 + rng.bounded(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const char c = kMutationAlphabet[rng.bounded(kMutationAlphabet.size())];
+    const auto kind = rng.bounded(3);
+    if (kind == 0 || text.empty()) {
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                     rng.bounded(text.size() + 1)),
+                  c);
+    } else if (kind == 1) {
+      text.erase(rng.bounded(text.size()), 1);
+    } else {
+      text[rng.bounded(text.size())] = c;
+    }
+  }
+}
+
+TEST(Ipv6TextCorruption, AgreesWithSplitGrammarOnSeededMutations) {
+  const std::vector<std::string> edge_forms = {
+      "::",
+      "::1",
+      "1::",
+      "1:2:3:4:5:6:7::",
+      "::ffff:1.2.3.4",
+      "1:2:3:4:5:6:1.2.3.4",
+      "fe80::1:2.3.4.5",
+      "12345::1",                // 5-digit group
+      "1:2:3:4:5:6:7:fffff",     // 5-digit group at the end
+      "1.2.3.4::1",              // '.' before "::"
+      "1:2.3.4.5::",             // '.' before a trailing "::"
+      "1:2:3:4:5:6:7:8",
+      "::1:2:3:4:5:6:7",
+  };
+  constexpr std::size_t kMutations = std::size_t{1} << 20;
+  util::Rng rng(0x1b6);
+  std::size_t accepted = 0;
+  std::size_t disagreements = 0;
+  for (std::size_t round = 0; round < kMutations; ++round) {
+    std::string text = rng.bounded(2) == 0
+                           ? edge_forms[rng.bounded(edge_forms.size())]
+                           : random_address_text(rng);
+    mutate(text, rng);
+    const auto expected = reference_parse(text);
+    const auto got = Ipv6Address::parse(text);
+    if (got != expected) {
+      if (++disagreements <= 10) {
+        ADD_FAILURE() << "'" << text << "': parse "
+                      << (got ? got->to_string() : "rejects")
+                      << ", reference "
+                      << (expected ? expected->to_string() : "rejects");
+      }
+    }
+    if (expected) ++accepted;
+  }
+  EXPECT_EQ(disagreements, 0u);
+  // The mutations must exercise both outcomes, not only one of them.
+  EXPECT_GT(accepted, kMutations / 20);
+  EXPECT_LT(accepted, kMutations - kMutations / 20);
+}
+
+TEST(Ipv6TextCorruption, UnmutatedFormsAgreeWithSplitGrammar) {
+  util::Rng rng(0x6a7);
+  for (int round = 0; round < 10000; ++round) {
+    const std::string text = random_address_text(rng);
+    const auto expected = reference_parse(text);
+    ASSERT_TRUE(expected.has_value()) << text;
+    EXPECT_EQ(Ipv6Address::parse(text), expected) << text;
+  }
+}
+
+std::string valid_hitlist6_document() {
+  return
+      "# seed hitlist\n"
+      "2001:db8::1\n"
+      "\n"
+      "2001:DB8:0:0:0:0:0:2\r\n"
+      "  fe80::1:2.3.4.5  \n"
+      "::ffff:192.0.2.1\n"
+      "2a00:1450:4001:80b::200e";
+}
+
+std::string valid_pfx2as6_document() {
+  return
+      "# v6 table\n"
+      "2001:db8::\t32\t64500\n"
+      "2001:db8:8000::\t33\t64501,64502\n"
+      "2a00:1450::\t29\t15169_64503\r\n"
+      "::ffff:0.0.0.0\t96\t1\n";
+}
+
+// Strict parsing may only fail with ParseError; lenient parsing never
+// fails, and whatever either accepts is structurally sane.
+template <typename Parse>
+void expect_parses_or_rejects(std::string_view text, Parse&& parse) {
+  try {
+    parse(text, /*strict=*/true, nullptr);
+  } catch (const ParseError&) {
+  }
+  std::size_t skipped = 0;
+  EXPECT_NO_THROW(parse(text, /*strict=*/false, &skipped));
+}
+
+template <typename Parse>
+void truncate_and_flip(const std::string& document, Parse&& parse) {
+  for (std::size_t cut = 0; cut <= document.size(); ++cut) {
+    expect_parses_or_rejects(std::string_view(document.data(), cut), parse);
+  }
+  for (const std::uint64_t seed : {3ull, 5ull, 7ull, 9ull, 13ull}) {
+    util::Rng rng(seed);
+    for (int round = 0; round < 400; ++round) {
+      std::string mutated = document;
+      const std::size_t flips = 1 + rng.bounded(8);
+      for (std::size_t i = 0; i < flips; ++i) {
+        mutated[rng.bounded(mutated.size())] =
+            static_cast<char>(rng.bounded(256));
+      }
+      expect_parses_or_rejects(mutated, parse);
+    }
+  }
+}
+
+TEST(Ipv6TextCorruption, HitlistTruncationsAndByteFlipsParseOrThrow) {
+  const std::string document = valid_hitlist6_document();
+  ASSERT_EQ(census::parse_hitlist6(document).size(), 5u);
+  truncate_and_flip(document, [](std::string_view text, bool strict,
+                                 std::size_t* skipped) {
+    return census::parse_hitlist6(text, strict, skipped);
+  });
+}
+
+TEST(Ipv6TextCorruption, Pfx2As6TruncationsAndByteFlipsParseOrThrow) {
+  const std::string document = valid_pfx2as6_document();
+  ASSERT_EQ(bgp::parse_pfx2as6(document).size(), 4u);
+  truncate_and_flip(document, [](std::string_view text, bool strict,
+                                 std::size_t* skipped) {
+    const auto records = bgp::parse_pfx2as6(text, strict, skipped);
+    for (const auto& record : records) {
+      EXPECT_LE(record.prefix.length(), 128);
+      EXPECT_FALSE(record.origins.empty());
+    }
+    return records;
+  });
+}
+
+}  // namespace
+}  // namespace tass::net

@@ -1,42 +1,75 @@
-// Unit tests for util/strings: splitting, trimming, strict numeric parsing
-// and formatting helpers used by the text-format parsers.
+// Unit tests for util/strings: the line and field cursors, trimming,
+// strict numeric parsing and formatting helpers used by the text-format
+// parsers.
 #include "util/strings.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <vector>
+
 namespace tass::util {
 namespace {
 
-TEST(Split, PreservesEmptyFields) {
-  const auto fields = split("a,,b", ',');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "");
-  EXPECT_EQ(fields[2], "b");
+using Views = std::vector<std::string_view>;
+
+Views all_lines(std::string_view text) {
+  Views lines;
+  LineCursor cursor(text);
+  for (std::string_view line; cursor.next(line);) lines.push_back(line);
+  return lines;
 }
 
-TEST(Split, EmptyInputYieldsOneEmptyField) {
-  const auto fields = split("", ',');
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], "");
+Views all_fields(std::string_view text) {
+  Views fields;
+  FieldCursor cursor(text);
+  for (std::string_view field; cursor.next(field);) fields.push_back(field);
+  return fields;
 }
 
-TEST(Split, TrailingDelimiterYieldsTrailingEmpty) {
-  const auto fields = split("x\ty\t", '\t');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[2], "");
+TEST(LineCursor, EmptyInputHasNoLines) {
+  EXPECT_TRUE(all_lines("").empty());
 }
 
-TEST(SplitWhitespace, CollapsesRuns) {
-  const auto fields = split_whitespace("  a \t b\n\nc  ");
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "b");
-  EXPECT_EQ(fields[2], "c");
+TEST(LineCursor, KeepsEmptyLinesBetweenTerminators) {
+  EXPECT_EQ(all_lines("a\n\nb"), (Views{"a", "", "b"}));
+  EXPECT_EQ(all_lines("\n"), (Views{""}));
 }
 
-TEST(SplitWhitespace, AllWhitespaceYieldsNothing) {
-  EXPECT_TRUE(split_whitespace(" \t\r\n ").empty());
+TEST(LineCursor, TrailingTerminatorOpensNoLine) {
+  EXPECT_EQ(all_lines("x\ty\n"), (Views{"x\ty"}));
+  EXPECT_EQ(all_lines("x\ny"), (Views{"x", "y"}));  // no final terminator
+}
+
+TEST(LineCursor, CrlfSplitsAtTheLineFeed) {
+  // Only '\n' ends a line; the '\r' before it is trailing whitespace that
+  // the parsers' trim() removes.
+  EXPECT_EQ(all_lines("a\r\nb\r\n\r\nc"),
+            (Views{"a\r", "b\r", "\r", "c"}));
+  EXPECT_EQ(trim(all_lines("a\r\n").front()), "a");
+}
+
+TEST(FieldCursor, CollapsesWhitespaceRuns) {
+  EXPECT_EQ(all_fields("  a \t b\n\nc  "), (Views{"a", "b", "c"}));
+  EXPECT_EQ(all_fields("1.0.0.0\t24\t13335"),
+            (Views{"1.0.0.0", "24", "13335"}));
+}
+
+TEST(FieldCursor, EmptyOrAllWhitespaceYieldsNothing) {
+  EXPECT_TRUE(all_fields("").empty());
+  EXPECT_TRUE(all_fields(" \t\r\n\v\f ").empty());
+}
+
+TEST(FieldCursor, TrailingDelimiterAndCrlfYieldNoEmptyField) {
+  EXPECT_EQ(all_fields("x\ty\t"), (Views{"x", "y"}));
+  EXPECT_EQ(all_fields("x y\r\n"), (Views{"x", "y"}));
+}
+
+TEST(IsSpace, MatchesTheCLocale) {
+  for (int c = 0; c < 256; ++c) {
+    EXPECT_EQ(is_space(static_cast<char>(c)),
+              std::isspace(c) != 0) << c;
+  }
 }
 
 TEST(Trim, StripsBothEnds) {
