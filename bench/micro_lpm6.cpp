@@ -8,12 +8,10 @@
 // Exits non-zero if the index and the oracle ever disagree — the
 // benchmark is also a full correctness check.
 //
-// The oracle is an independent algorithm, not a second trie: a hash map
-// of the table keyed by (masked network, length), probed from the
-// longest announced length downwards; the first hit is the longest
-// match. Every timed address — the random stream and every prefix
-// boundary +/- 1 (including the 64-bit hi/lo half edges) — is resolved
-// by both and compared.
+// The oracle is bench/lpm_oracle.hpp's per-length exact-match maps. Every
+// timed address — the random stream and every prefix boundary +/- 1
+// (including the 64-bit hi/lo half edges) — is resolved by both and
+// compared.
 //
 // Usage: micro_lpm6 [--prefixes N] [--lookups M] [--seed S]
 //                   [--kernel auto|scalar|simd]
@@ -30,9 +28,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "lpm_oracle.hpp"
 #include "net/family.hpp"
 #include "net/ipv6.hpp"
 #include "trie/lpm_index6.hpp"
@@ -82,56 +80,6 @@ std::vector<Entry> synthesize_table(std::size_t count, std::uint64_t seed) {
   }
   return table;
 }
-
-// Naive oracle: exact-match maps per announced length, probed longest
-// first. Independent of the trie machinery by construction.
-struct PrefixKey {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  int length = 0;
-  friend bool operator==(const PrefixKey&, const PrefixKey&) = default;
-};
-
-struct PrefixKeyHash {
-  std::size_t operator()(const PrefixKey& key) const noexcept {
-    return static_cast<std::size_t>(util::mix64(
-        util::mix64(key.hi, key.lo), static_cast<std::uint64_t>(key.length)));
-  }
-};
-
-class NaiveOracle {
- public:
-  explicit NaiveOracle(const std::vector<Entry>& table) {
-    std::vector<std::uint8_t> seen(129, 0);
-    for (const Entry& entry : table) {
-      // Same last-wins duplicate rule as the index.
-      map_[key_of(entry.prefix)] = entry.value;
-      seen[static_cast<std::size_t>(entry.prefix.length())] = 1;
-    }
-    for (int length = 128; length >= 0; --length) {
-      if (seen[static_cast<std::size_t>(length)]) {
-        lengths_.push_back(length);
-      }
-    }
-  }
-
-  std::uint32_t lookup(net::Ipv6Address addr) const {
-    for (const int length : lengths_) {
-      const net::Ipv6Prefix masked(addr, length);
-      const auto it = map_.find(key_of(masked));
-      if (it != map_.end()) return it->second;
-    }
-    return trie::LpmIndex6::kNoMatch;
-  }
-
- private:
-  static PrefixKey key_of(net::Ipv6Prefix prefix) {
-    return {prefix.network().hi(), prefix.network().lo(), prefix.length()};
-  }
-
-  std::unordered_map<PrefixKey, std::uint32_t, PrefixKeyHash> map_;
-  std::vector<int> lengths_;  // announced lengths, longest first
-};
 
 std::uint64_t to_u64(double value) {
   return static_cast<std::uint64_t>(value);
@@ -190,7 +138,7 @@ int main(int argc, char** argv) {
   const double build_ms = ms_since(start);
 
   start = std::chrono::steady_clock::now();
-  const NaiveOracle oracle(table);
+  const bench::NaiveLpmOracle<net::Ipv6Family> oracle(table);
   const double oracle_build_ms = ms_since(start);
 
   // The address stream: half targeted (a random host inside a random

@@ -1,6 +1,6 @@
 // Micro-benchmarks for the substrate hot paths (google-benchmark):
-// trie longest-prefix match (legacy bitwise trie vs the flat LpmIndex,
-// build and lookup), deaggregation, the ZMap permutation step,
+// longest-prefix match (LpmIndex build, scalar and batched lookup),
+// deaggregation, the ZMap permutation step,
 // interval-set algebra, density ranking and selection, snapshot
 // membership and the rank-directory index behind the batched oracle, and
 // the text ingest (hitlist and pfx2as parsing) — the operations every
@@ -9,7 +9,7 @@
 // For machine-readable output (BENCH tracking), run with
 //   micro_substrates --benchmark_format=json
 // or see bench/micro_lpm.cpp for the standalone full-RIB-scale LPM
-// comparison that always emits JSON.
+// bench that always emits JSON.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -27,7 +27,6 @@
 #include "net/prefix.hpp"
 #include "scan/target_iterator.hpp"
 #include "trie/lpm_index.hpp"
-#include "trie/prefix_set.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,32 +55,6 @@ const census::Snapshot& shared_snapshot() {
   return snapshot;
 }
 
-void BM_TrieInsert(benchmark::State& state) {
-  const auto topology = shared_topology();
-  const auto prefixes = topology->m_partition.prefixes();
-  for (auto _ : state) {
-    trie::PrefixSet set;
-    for (const net::Prefix prefix : prefixes) set.insert(prefix);
-    benchmark::DoNotOptimize(set.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(prefixes.size()));
-}
-BENCHMARK(BM_TrieInsert);
-
-void BM_TrieLongestMatch(benchmark::State& state) {
-  const auto topology = shared_topology();
-  trie::PrefixSet set(topology->m_partition.prefixes());
-  util::Rng rng(1);
-  for (auto _ : state) {
-    const net::Ipv4Address addr(
-        static_cast<std::uint32_t>(rng.bounded(1ULL << 32)));
-    benchmark::DoNotOptimize(set.longest_match(addr));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TrieLongestMatch);
-
 void BM_LpmIndexBuild(benchmark::State& state) {
   const auto topology = shared_topology();
   const auto prefixes = topology->m_partition.prefixes();
@@ -101,8 +74,6 @@ const trie::LpmIndex& shared_lpm_index() {
 }
 
 void BM_LpmIndexLookup(benchmark::State& state) {
-  // Same table and address stream as BM_TrieLongestMatch: the direct
-  // legacy-vs-flat comparison.
   const auto& index = shared_lpm_index();
   util::Rng rng(1);
   for (auto _ : state) {

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bgp/pfx2as.hpp"
-#include "bgp/table6.hpp"
+#include "bgp/rib.hpp"
 #include "core/ranking.hpp"
 #include "core/selection.hpp"
 #include "report/table.hpp"

@@ -15,9 +15,9 @@
 // Every seed-pipeline verb is family-generic: `--family v4` (the
 // default) reads a pfx2as table and a scan-export address list,
 // `--family v6` reads a pfx2as6 table and a hitlist, and both run the
-// same templated driver over the family-generic substrate. The legacy
-// spellings rank6/plan6/state build6 still work as deprecated aliases
-// for `--family v6`.
+// same templated driver over the family-generic substrate. Numeric
+// arguments are range-checked here: a bad phi or overshoot is an
+// `error:` line and exit 1, never a library precondition abort.
 //
 // `rank` attributes the seed onto the routing table and prints the
 // densest prefixes; `plan` emits the TASS selection (one prefix per line
@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "bgp/reduce.hpp"
-#include "bgp/table6.hpp"
+#include "bgp/rib.hpp"
 #include "census/hitlist6.hpp"
 #include "census/snapshot_index.hpp"
 #include "core/estimator.hpp"
@@ -82,9 +82,7 @@ int usage() {
       "  tass_cli state build <routes> <seeds> <out.tsim> [less|more] "
       "[--family v4|v6]\n"
       "  tass_cli state info  <file.tsim> [--huge]\n"
-      "v4 seeds are a scan-export address list; v6 seeds are a hitlist.\n"
-      "(rank6/plan6/state build6 are deprecated aliases for --family "
-      "v6.)\n");
+      "v4 seeds are a scan-export address list; v6 seeds are a hitlist.\n");
   return 2;
 }
 
@@ -93,6 +91,25 @@ core::PrefixMode parse_mode(const std::string& text) {
   if (text == "more") return core::PrefixMode::kMore;
   throw ParseError("prefix mode must be 'less' or 'more', got '" + text +
                    "'");
+}
+
+// The coverage target phi is a fraction in (0, 1].
+double parse_phi(const std::string& text) {
+  const double phi = std::stod(text);
+  if (!(phi > 0.0 && phi <= 1.0)) {
+    throw ParseError("phi must be in (0, 1], got '" + text + "'");
+  }
+  return phi;
+}
+
+// The reduce overshoot cap is a finite, non-negative percentage.
+double parse_overshoot(const std::string& text) {
+  const double pct = std::stod(text);
+  if (!(std::isfinite(pct) && pct >= 0.0)) {
+    throw ParseError("--overshoot must be a finite percentage >= 0, got '" +
+                     text + "'");
+  }
+  return pct;
 }
 
 // Command-line shape shared by the family-generic verbs: positional
@@ -129,9 +146,9 @@ Cli parse_cli(int argc, char** argv, int first) {
     } else if (arg == "--seed") {
       cli.seed = std::stoull(value());
     } else if (arg == "--phi") {
-      cli.phi = std::stod(value());
+      cli.phi = parse_phi(value());
     } else if (arg == "--overshoot") {
-      cli.overshoot_pct = std::stod(value());
+      cli.overshoot_pct = parse_overshoot(value());
     } else if (arg == "--min-prefixes") {
       cli.min_prefixes = std::stoull(value());
     } else if (arg == "--huge") {
@@ -197,7 +214,8 @@ PipelineT<Family> build_pipeline(const std::string& routes_path,
     const auto table = bgp::RoutingTable6::from_pfx2as(records);
     std::fprintf(stderr, "loaded %zu v6 routes; advertised %.3fM /64s\n",
                  table.size(),
-                 static_cast<double>(table.advertised_units()) / 1e6);
+                 static_cast<double>(table.stats().advertised_addresses) /
+                     1e6);
     result.partition = mode == core::PrefixMode::kMore ? table.m_partition()
                                                        : table.l_partition();
     result.hitlist = census::load_hitlist6(seed_path, /*strict=*/false);
@@ -266,7 +284,7 @@ int run_rank(const Cli& cli) {
 template <class Family>
 int run_plan(const Cli& cli) {
   if (cli.args.size() < 3) return usage();
-  const double phi = std::stod(cli.args[2]);
+  const double phi = parse_phi(cli.args[2]);
   const core::PrefixMode mode =
       cli.args.size() > 3 ? parse_mode(cli.args[3]) : core::PrefixMode::kMore;
 
@@ -555,15 +573,6 @@ int cmd_state(const Cli& cli) {
     return run_family(&run_state_build<net::Ipv4Family>,
                       &run_state_build<net::Ipv6Family>, cli);
   }
-  if (verb == "build6") {
-    std::fprintf(stderr,
-                 "note: 'state build6' is deprecated; use 'state build "
-                 "--family v6'\n");
-    Cli alias = cli;
-    alias.v6 = true;
-    alias.args[0] = "build";
-    return run_state_build<net::Ipv6Family>(alias);
-  }
   if (verb == "info") return cmd_state_info(cli);
   return usage();
 }
@@ -613,16 +622,6 @@ int main(int argc, char** argv) {
     if (command == "sample") {
       return run_family(&run_sample<net::Ipv4Family>,
                         &run_sample<net::Ipv6Family>, cli);
-    }
-    if (command == "rank6") {
-      std::fprintf(stderr,
-                   "note: 'rank6' is deprecated; use 'rank --family v6'\n");
-      return run_rank<net::Ipv6Family>(cli);
-    }
-    if (command == "plan6") {
-      std::fprintf(stderr,
-                   "note: 'plan6' is deprecated; use 'plan --family v6'\n");
-      return run_plan<net::Ipv6Family>(cli);
     }
     if (command == "aggregate") return cmd_aggregate(cli);
     if (command == "reduce") {

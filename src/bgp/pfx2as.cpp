@@ -78,22 +78,56 @@ std::vector<Record> parse_document(std::string_view text, bool strict,
   return records;
 }
 
-}  // namespace
-
-Pfx2AsRecord parse_pfx2as_line(std::string_view line) {
+// One line of either family: the network grammar and the length bound
+// come from the family; v6 errors name the family.
+template <class Family>
+BasicPfx2AsRecord<Family> parse_line(std::string_view line) {
+  constexpr const char* family = Family::kBits == 32 ? "" : "IPv6 ";
   const auto fields = split_fields(line);
-  const auto network = net::Ipv4Address::parse(fields[0]);
+  const auto network = Family::Address::parse(fields[0]);
   if (!network) {
-    throw ParseError("invalid network in pfx2as line: '" +
+    throw ParseError(std::string("invalid ") + family +
+                     "network in pfx2as line: '" +
                      std::string(fields[0]) + "'");
   }
   const auto length = util::parse_u32(fields[1]);
-  if (!length || *length > 32) {
-    throw ParseError("invalid prefix length in pfx2as line: '" +
+  if (!length || *length > static_cast<std::uint32_t>(Family::kBits)) {
+    throw ParseError(std::string("invalid ") + family +
+                     "prefix length in pfx2as line: '" +
                      std::string(fields[1]) + "'");
   }
-  return Pfx2AsRecord{net::Prefix(*network, static_cast<int>(*length)),
-                      parse_origins(fields[2])};
+  return {typename Family::Prefix(*network, static_cast<int>(*length)),
+          parse_origins(fields[2])};
+}
+
+template <class Family>
+std::string format_records(std::span<const BasicPfx2AsRecord<Family>> records) {
+  std::string out;
+  for (const auto& record : records) {
+    out += record.prefix.network().to_string();
+    out += '\t';
+    out += std::to_string(record.prefix.length());
+    out += '\t';
+    for (std::size_t i = 0; i < record.origins.size(); ++i) {
+      if (i != 0) out += ',';
+      out += std::to_string(record.origins[i]);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw Error("cannot open pfx2as file for writing: " + path);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!out) throw Error("short write to pfx2as file: " + path);
+}
+
+}  // namespace
+
+Pfx2AsRecord parse_pfx2as_line(std::string_view line) {
+  return parse_line<net::Ipv4Family>(line);
 }
 
 std::vector<Pfx2AsRecord> parse_pfx2as(std::string_view text, bool strict,
@@ -106,21 +140,17 @@ std::vector<Pfx2AsRecord> load_pfx2as(const std::string& path, bool strict) {
   return parse_pfx2as(util::read_text_file(path, "pfx2as"), strict);
 }
 
+std::string format_pfx2as(std::span<const Pfx2AsRecord> records) {
+  return format_records(records);
+}
+
+void save_pfx2as(const std::string& path,
+                 std::span<const Pfx2AsRecord> records) {
+  write_text(path, format_pfx2as(records));
+}
+
 Pfx2As6Record parse_pfx2as6_line(std::string_view line) {
-  const auto fields = split_fields(line);
-  const auto network = net::Ipv6Address::parse(fields[0]);
-  if (!network) {
-    throw ParseError("invalid IPv6 network in pfx2as line: '" +
-                     std::string(fields[0]) + "'");
-  }
-  const auto length = util::parse_u32(fields[1]);
-  if (!length || *length > 128) {
-    throw ParseError("invalid IPv6 prefix length in pfx2as line: '" +
-                     std::string(fields[1]) + "'");
-  }
-  return Pfx2As6Record{
-      net::Ipv6Prefix(*network, static_cast<int>(*length)),
-      parse_origins(fields[2])};
+  return parse_line<net::Ipv6Family>(line);
 }
 
 std::vector<Pfx2As6Record> parse_pfx2as6(std::string_view text, bool strict,
@@ -135,53 +165,12 @@ std::vector<Pfx2As6Record> load_pfx2as6(const std::string& path,
 }
 
 std::string format_pfx2as6(std::span<const Pfx2As6Record> records) {
-  std::string out;
-  for (const Pfx2As6Record& record : records) {
-    out += record.prefix.network().to_string();
-    out += '\t';
-    out += std::to_string(record.prefix.length());
-    out += '\t';
-    for (std::size_t i = 0; i < record.origins.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(record.origins[i]);
-    }
-    out += '\n';
-  }
-  return out;
+  return format_records(records);
 }
 
 void save_pfx2as6(const std::string& path,
                   std::span<const Pfx2As6Record> records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw Error("cannot open pfx2as file for writing: " + path);
-  const std::string text = format_pfx2as6(records);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!out) throw Error("short write to pfx2as file: " + path);
-}
-
-std::string format_pfx2as(std::span<const Pfx2AsRecord> records) {
-  std::string out;
-  for (const Pfx2AsRecord& record : records) {
-    out += record.prefix.network().to_string();
-    out += '\t';
-    out += std::to_string(record.prefix.length());
-    out += '\t';
-    for (std::size_t i = 0; i < record.origins.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(record.origins[i]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-void save_pfx2as(const std::string& path,
-                 std::span<const Pfx2AsRecord> records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw Error("cannot open pfx2as file for writing: " + path);
-  const std::string text = format_pfx2as(records);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!out) throw Error("short write to pfx2as file: " + path);
+  write_text(path, format_pfx2as6(records));
 }
 
 }  // namespace tass::bgp

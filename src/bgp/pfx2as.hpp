@@ -17,28 +17,24 @@
 #include <string_view>
 #include <vector>
 
-#include "net/ipv6.hpp"
-#include "net/prefix.hpp"
+#include "net/family.hpp"
 
 namespace tass::bgp {
 
 /// One pfx2as record: an announced prefix and its origin AS(es).
-struct Pfx2AsRecord {
-  net::Prefix prefix;
+/// CAIDA's routeviews6 dumps share the v4 line grammar; only the network
+/// grammar differs, so one record type serves both families.
+template <class Family>
+struct BasicPfx2AsRecord {
+  typename Family::Prefix prefix;
   std::vector<std::uint32_t> origins;  // >= 1 entry
 
-  friend bool operator==(const Pfx2AsRecord&, const Pfx2AsRecord&) = default;
+  friend bool operator==(const BasicPfx2AsRecord&,
+                         const BasicPfx2AsRecord&) = default;
 };
 
-/// One IPv6 pfx2as record (CAIDA's routeviews6 dumps share the v4 line
-/// grammar; only the network grammar differs).
-struct Pfx2As6Record {
-  net::Ipv6Prefix prefix;
-  std::vector<std::uint32_t> origins;  // >= 1 entry
-
-  friend bool operator==(const Pfx2As6Record&,
-                         const Pfx2As6Record&) = default;
-};
+using Pfx2AsRecord = BasicPfx2AsRecord<net::Ipv4Family>;
+using Pfx2As6Record = BasicPfx2AsRecord<net::Ipv6Family>;
 
 /// Parses one pfx2as line. Throws tass::ParseError on malformed input.
 Pfx2AsRecord parse_pfx2as_line(std::string_view line);

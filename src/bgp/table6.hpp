@@ -1,67 +1,1 @@
-// RoutingTable6 — the announced-IPv6 view of a routing table and its two
-// partitions (paper §3.2, carried to v6).
-//
-// The v6 twin of bgp::RoutingTable: merges pfx2as6 records by prefix,
-// classifies each announced prefix as an l-prefix (no announced strict
-// ancestor) or an m-prefix (announced inside an l-prefix), and derives
-// the two partitions the paper evaluates — the l-partition and the
-// deaggregated m-partition (Figure 2's tiler, run on 128-bit prefixes).
-// Both come back as bgp::PrefixPartition6, ready for hitlist attribution
-// through the shared LPM substrate.
-#pragma once
-
-#include <cstdint>
-#include <span>
-#include <vector>
-
-#include "bgp/partition.hpp"
-#include "bgp/pfx2as.hpp"
-#include "net/ipv6.hpp"
-
-namespace tass::bgp {
-
-/// One merged announced-v6 route.
-struct Route6Entry {
-  net::Ipv6Prefix prefix;
-  std::vector<std::uint32_t> origins;
-  bool more_specific = false;  // announced inside another announced prefix
-};
-
-class RoutingTable6 {
- public:
-  RoutingTable6() = default;
-
-  /// Merges records by prefix (multi-origin announcements union their
-  /// origin sets) and classifies l/m-prefixes.
-  static RoutingTable6 from_pfx2as(std::span<const Pfx2As6Record> records);
-
-  std::span<const Route6Entry> routes() const noexcept { return routes_; }
-  std::size_t size() const noexcept { return routes_.size(); }
-
-  /// Least-specific announced prefixes (not contained in any other).
-  std::vector<net::Ipv6Prefix> l_prefixes() const;
-  /// Announced more-specifics.
-  std::vector<net::Ipv6Prefix> m_prefixes() const;
-
-  /// The l-partition: one cell per l-prefix.
-  PrefixPartition6 l_partition() const;
-
-  /// The m-partition: every l-prefix deaggregated around its announced
-  /// more-specifics (Figure 2) so all routing information is a whole
-  /// cell while the cells stay a proper partition.
-  PrefixPartition6 m_partition() const;
-
-  /// Announced scan space in /64 subnets (saturating; l-prefixes only,
-  /// which equal the whole advertised space by disjointness).
-  std::uint64_t advertised_units() const noexcept {
-    return advertised_units_;
-  }
-
- private:
-  void finalize();
-
-  std::vector<Route6Entry> routes_;  // sorted by (network, length)
-  std::uint64_t advertised_units_ = 0;
-};
-
-}  // namespace tass::bgp
+#include "bgp/rib.hpp"  // IWYU pragma: export

@@ -45,7 +45,6 @@
 #include "net/special_use.hpp"
 #include "scan/blocklist.hpp"
 #include "scan/engine.hpp"
-#include "scan/packet.hpp"
 #include "scan/ratelimit.hpp"
 #include "scan/scope.hpp"
 #include "scan/target_iterator.hpp"

@@ -5,10 +5,10 @@
 // This is the unified match substrate behind every per-address decision a
 // scan cycle makes: prefix/AS attribution (bgp::PrefixPartition), blocklist
 // checks (scan::Blocklist), special-use classification (net::special_use)
-// and scope membership (scan::ScanScope). The bitwise PrefixTrie stays
-// around as the mutable build/enumeration structure and as the reference
-// implementation for the differential tests; BasicLpmIndex is the
-// immutable read-optimised form built once from a prefix -> value table.
+// and scope membership (scan::ScanScope). It is built once from a
+// prefix -> value table and patched in place by update(); the
+// differential tests referee it against a naive per-length exact-match
+// oracle (bench/lpm_oracle.hpp).
 //
 // Layout (Poptrie-flavoured, generic over the key width):
 //   * a direct-indexed root array over the top 16 address bits — one load
@@ -110,8 +110,8 @@ class BasicLpmIndex {
 
   /// Builds from a prefix -> value table. Nested and duplicate prefixes are
   /// fine; lookups return the value of the longest covering prefix, and for
-  /// duplicate prefixes the last entry wins (matching PrefixTrie::insert
-  /// overwrite semantics). Throws tass::Error if a value is >= kNoMatch.
+  /// duplicate prefixes the last entry wins (overwrite semantics). Throws
+  /// tass::Error if a value is >= kNoMatch.
   explicit BasicLpmIndex(std::span<const Entry> table);
 
   /// Membership-only index: every prefix maps to `value`.

@@ -7,7 +7,6 @@
 
 #include "bgp/pfx2as.hpp"
 #include "bgp/rib.hpp"
-#include "bgp/table6.hpp"
 #include "census/hitlist6.hpp"
 #include "census/topology.hpp"
 #include "core/ranking.hpp"

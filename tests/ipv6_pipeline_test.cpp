@@ -12,7 +12,7 @@
 
 #include "bgp/deaggregate.hpp"
 #include "bgp/pfx2as.hpp"
-#include "bgp/table6.hpp"
+#include "bgp/rib.hpp"
 #include "census/hitlist6.hpp"
 #include "core/ranking.hpp"
 #include "core/selection.hpp"
@@ -104,31 +104,6 @@ TEST(Deaggregate6, Figure2OnV6Prefixes) {
       p6("2001:db8:2000::/35"), p6("2001:db8:4000::/34"),
       p6("2001:db8:8000::/33")};
   EXPECT_EQ(tiles, expected);
-}
-
-TEST(RoutingTable6, ClassifiesAndPartitions) {
-  const auto table =
-      bgp::RoutingTable6::from_pfx2as(bgp::parse_pfx2as6(kTable));
-  // 2001:db8::/32 covers the /36, /48 and /33; 2620:1::/48 stands alone.
-  EXPECT_EQ(table.l_prefixes(),
-            (std::vector<net::Ipv6Prefix>{p6("2001:db8::/32"),
-                                          p6("2620:1::/48")}));
-  EXPECT_EQ(table.m_prefixes().size(), 3u);
-
-  const bgp::PrefixPartition6 l = table.l_partition();
-  EXPECT_EQ(l.size(), 2u);
-
-  const bgp::PrefixPartition6 m = table.m_partition();
-  // Every announced more-specific is a whole cell of the m-partition.
-  for (const net::Ipv6Prefix announced : table.m_prefixes()) {
-    EXPECT_TRUE(m.index_of(announced).has_value())
-        << announced.to_string();
-  }
-  // The partition tiles the l-space: locate resolves inside, not outside.
-  EXPECT_TRUE(m.locate(a6("2001:db8:5000::1")).has_value());
-  EXPECT_EQ(m.prefix(*m.locate(a6("2001:db8:5000::1"))),
-            p6("2001:db8:5000::/48"));
-  EXPECT_FALSE(m.locate(a6("2001:db7::1")).has_value());
 }
 
 TEST(PrefixPartition6, LocateManyAndUnits) {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "bgp/pfx2as.hpp"
-#include "bgp/table6.hpp"
+#include "bgp/rib.hpp"
 #include "census/population.hpp"
 #include "census/protocol.hpp"
 #include "census/topology.hpp"

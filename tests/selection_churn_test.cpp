@@ -61,9 +61,9 @@ TEST(SelectionChurn, ReseededSelectionsAreHighlyStable) {
   SelectionParams sel;
   sel.phi = 0.95;
   const auto rank0 = rank_by_density(series.month(0), PrefixMode::kMore);
-  const auto rank6 = rank_by_density(series.month(6), PrefixMode::kMore);
+  const auto rank_last = rank_by_density(series.month(6), PrefixMode::kMore);
   const auto sel0 = select_by_density(rank0, sel);
-  const auto sel6 = select_by_density(rank6, sel);
+  const auto sel6 = select_by_density(rank_last, sel);
 
   // Most churn happens at the phi threshold where near-tie prefixes flip
   // in and out; the bulk of the selection is stable.

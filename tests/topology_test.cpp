@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/interval.hpp"
 #include "net/special_use.hpp"
-#include "trie/prefix_set.hpp"
 
 namespace tass::census {
 namespace {
@@ -17,18 +17,18 @@ TEST(BuddyAllocator, AllocatesRequestedSizeDisjointly) {
   BuddyAllocator allocator(pool);
   EXPECT_EQ(allocator.free_addresses(), 1ULL << 24);
 
-  trie::PrefixSet used;
+  // A block is disjoint from everything allocated before it exactly when
+  // inserting it grows the union by its full size.
+  net::IntervalSet used;
   std::uint64_t allocated = 0;
   for (int i = 0; i < 64; ++i) {
     const auto block = allocator.allocate(14, rng);
     ASSERT_TRUE(block.has_value());
     EXPECT_EQ(block->length(), 14);
     EXPECT_TRUE(net::Prefix::parse_or_throw("10.0.0.0/8").contains(*block));
-    EXPECT_FALSE(used.has_strict_ancestor(*block));
-    EXPECT_FALSE(used.contains(*block));
-    EXPECT_TRUE(used.within(*block).empty());
     used.insert(*block);
     allocated += block->size();
+    EXPECT_EQ(used.address_count(), allocated);
   }
   // 64 x /14 exactly exhausts a /8.
   EXPECT_EQ(allocated, 1ULL << 24);
@@ -49,14 +49,15 @@ TEST(BuddyAllocator, SplitsLargerBlocks) {
 TEST(BuddyAllocator, MixedSizesNeverOverlap) {
   util::Rng rng(3);
   BuddyAllocator allocator(net::scannable_space().to_prefixes());
-  trie::PrefixSet used;
+  net::IntervalSet used;
+  std::uint64_t allocated = 0;
   for (int i = 0; i < 500; ++i) {
     const int length = 10 + static_cast<int>(rng.bounded(14));
     const auto block = allocator.allocate(length, rng);
     ASSERT_TRUE(block.has_value());
-    EXPECT_FALSE(used.has_strict_ancestor(*block));
-    EXPECT_TRUE(used.within(*block).empty());
     used.insert(*block);
+    allocated += block->size();
+    EXPECT_EQ(used.address_count(), allocated);  // no overlap with earlier
     // Never allocates reserved space.
     EXPECT_FALSE(net::reserved_space().contains(block->network()));
   }
