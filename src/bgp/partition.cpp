@@ -396,7 +396,7 @@ std::uint64_t partition_fingerprint(
     if (!partition.live(i)) continue;
     const typename Family::Prefix prefix = partition.prefix(i);
     if constexpr (Family::kBits == 32) {
-      // The historical v4 digest, byte for byte, so existing TSNP/TSIM
+      // The historical v4 digest, byte for byte, so existing TSIM
       // bindings stay valid.
       hasher.update_u32(prefix.network().value());
     } else {

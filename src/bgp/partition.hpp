@@ -324,12 +324,11 @@ PartitionDeltaT<Family> partition_delta(
     std::span<const typename Family::Prefix> target);
 
 /// Structural fingerprint: FNV-1a over the live cell count and the live
-/// prefixes in slot order. The single digest definition behind both
-/// census::topology_fingerprint (TSNP snapshots) and the TSIM state
-/// image, so snapshot and image bindings stay interchangeable. The IPv4
-/// digest is byte-for-byte the pre-generic one; IPv6 prefixes hash their
-/// hi/lo halves, so the two families can never collide by construction
-/// (different update widths).
+/// prefixes in slot order. The single digest definition behind the TSIM
+/// state image binding and the serve wire's response fingerprints. The
+/// IPv4 digest is byte-for-byte the pre-generic one; IPv6 prefixes hash
+/// their hi/lo halves, so the two families can never collide by
+/// construction (different update widths).
 template <class Family>
 std::uint64_t partition_fingerprint(
     const BasicPrefixPartition<Family>& partition);

@@ -168,9 +168,4 @@ std::string format_pfx2as6(std::span<const Pfx2As6Record> records) {
   return format_records(records);
 }
 
-void save_pfx2as6(const std::string& path,
-                  std::span<const Pfx2As6Record> records) {
-  write_text(path, format_pfx2as6(records));
-}
-
 }  // namespace tass::bgp

@@ -70,7 +70,5 @@ std::vector<Pfx2As6Record> parse_pfx2as6(std::string_view text,
 std::vector<Pfx2As6Record> load_pfx2as6(const std::string& path,
                                         bool strict = true);
 std::string format_pfx2as6(std::span<const Pfx2As6Record> records);
-void save_pfx2as6(const std::string& path,
-                  std::span<const Pfx2As6Record> records);
 
 }  // namespace tass::bgp

@@ -61,11 +61,4 @@ Attribution attribute(std::span<const std::uint32_t> addresses,
   return result;
 }
 
-DensityRanking rank_scan_results(std::span<const std::uint32_t> addresses,
-                                 const bgp::PrefixPartition& partition,
-                                 PrefixMode mode) {
-  const Attribution attribution = attribute(addresses, partition);
-  return rank_by_density(attribution.counts, partition, mode);
-}
-
 }  // namespace tass::core

@@ -47,9 +47,4 @@ Attribution attribute(std::span<const std::uint32_t> addresses,
                       const bgp::PrefixPartition& partition,
                       const AttributionConfig& config = {});
 
-/// Convenience: attribute then rank (paper steps 1-3) in one call.
-DensityRanking rank_scan_results(std::span<const std::uint32_t> addresses,
-                                 const bgp::PrefixPartition& partition,
-                                 PrefixMode mode);
-
 }  // namespace tass::core

@@ -10,9 +10,11 @@
 // work deterministically (results are bit-identical for any thread
 // count), census::SnapshotIndex turns per-address oracle probes into
 // rank-directory interval queries, and the scan engine, attribution and
-// evaluation stages all fan out over the process-wide pool. Threading
+// evaluation stages all fan out through util::run_shards. Threading
 // knobs: scan::EngineConfig::threads, core::AttributionConfig::threads,
-// core::EvaluationConfig::threads (1 = sequential, 0 = hardware).
+// core::EvaluationConfig::threads (1 = the calling thread only, 0 = the
+// process-wide pool sized to the hardware, N = a dedicated pool of N);
+// results are identical for every value.
 #pragma once
 
 #include "bgp/aggregate.hpp"
@@ -23,7 +25,6 @@
 #include "bgp/rib.hpp"
 #include "census/churn.hpp"
 #include "census/import.hpp"
-#include "census/io.hpp"
 #include "census/population.hpp"
 #include "census/protocol.hpp"
 #include "census/quality.hpp"

@@ -70,35 +70,4 @@ Blocklist Blocklist::default_blocklist() {
   return Blocklist(net::reserved_space());
 }
 
-BlocklistCompaction Blocklist::compact(const bgp::ReduceParams& params) {
-  BlocklistCompaction stats;
-
-  const std::vector<net::Prefix> cover = blocked_.to_prefixes();
-  stats.v4_before = cover.size();
-  if (!cover.empty()) {
-    const auto reduced = bgp::reduce(cover, params);
-    stats.v4_after = reduced.prefixes.size();
-    stats.v4_overshoot_addresses = reduced.overshoot_addresses;
-    if (reduced.prefixes.size() < cover.size()) {
-      blocked_ = net::IntervalSet::of_prefixes(reduced.prefixes);
-      dirty_ = true;
-    } else {
-      stats.v4_after = cover.size();
-    }
-  }
-
-  stats.v6_before = blocked6_.size();
-  if (!blocked6_.empty()) {
-    auto reduced = bgp::reduce(std::span<const net::Ipv6Prefix>(blocked6_),
-                               params);
-    stats.v6_after = reduced.prefixes.size();
-    stats.v6_overshoot_units = reduced.overshoot_addresses;
-    // The reduced list can only shrink or stay (aggregation alone drops
-    // duplicates/nesting), so installing it is never a regression.
-    blocked6_ = std::move(reduced.prefixes);
-    dirty6_ = true;
-  }
-  return stats;
-}
-
 }  // namespace tass::scan

@@ -30,25 +30,12 @@
 #include <string_view>
 #include <vector>
 
-#include "bgp/reduce.hpp"
 #include "net/interval.hpp"
 #include "net/ipv6.hpp"
 #include "trie/lpm_index.hpp"
 #include "trie/lpm_index6.hpp"
 
 namespace tass::scan {
-
-/// What Blocklist::compact did, per family: minimal-cover prefix counts
-/// before and after, and the extra space now blocked (v4 addresses; v6
-/// /64 units).
-struct BlocklistCompaction {
-  std::size_t v4_before = 0;
-  std::size_t v4_after = 0;
-  std::uint64_t v4_overshoot_addresses = 0;
-  std::size_t v6_before = 0;
-  std::size_t v6_after = 0;
-  std::uint64_t v6_overshoot_units = 0;
-};
 
 class Blocklist {
  public:
@@ -80,14 +67,6 @@ class Blocklist {
     blocked6_.push_back(prefix);
     dirty6_ = true;
   }
-
-  /// Compacts both families' entries with bgp::reduce before the next
-  /// index rebuild: the blocked sets may only GROW (over-blocking is the
-  /// polite direction — every previously blocked address stays blocked,
-  /// and up to params.max_overshoot extra space is excluded with them),
-  /// in exchange for smaller LpmIndex builds and shorter exported ACLs.
-  /// Returns the per-family before/after stats.
-  BlocklistCompaction compact(const bgp::ReduceParams& params = {});
 
   bool blocks(net::Ipv4Address addr) const {
     if (dirty_) refresh();

@@ -1,8 +1,6 @@
 #include "scan/ratelimit.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -26,73 +24,6 @@ bool TokenBucket::try_consume(double tokens, double now) noexcept {
   if (tokens_ + 1e-9 < tokens) return false;
   tokens_ -= tokens;
   return true;
-}
-
-double TokenBucket::ready_time(double tokens, double now) noexcept {
-  TASS_EXPECTS(tokens >= 0.0);
-  refill(now);
-  // A demand beyond bucket capacity can never be satisfied: refill
-  // clamps tokens_ at burst_, so projecting the deficit linearly would
-  // hand back a finite instant at which try_consume still refuses.
-  if (tokens > burst_ + 1e-9) {
-    return std::numeric_limits<double>::infinity();
-  }
-  // Same 1e-9 tolerance as try_consume: without it, ready_time could
-  // report "not yet" (and hand back a future instant) for a demand
-  // try_consume would already grant, or — worse — return an instant at
-  // which try_consume still refuses because the refill at that instant
-  // rounds a hair short. The nextafter loop closes the residual ULP gap
-  // for large-magnitude clocks where an absolute 1e-9 is below the
-  // representable resolution, so try_consume(t, ready_time(t, now)) is
-  // guaranteed to succeed for any satisfiable demand.
-  if (tokens_ + 1e-9 >= tokens) return now;
-  // tokens_ is as-of last_refill_ (== now unless the clock ran
-  // backwards), so project the deficit from there.
-  const double base = std::max(now, last_refill_);
-  double ready = base + (tokens - tokens_) / rate_;
-  while (tokens_ + (ready - last_refill_) * rate_ + 1e-9 < tokens) {
-    ready = std::nextafter(ready, std::numeric_limits<double>::infinity());
-  }
-  return ready;
-}
-
-double TokenBucket::available(double now) noexcept {
-  refill(now);
-  return tokens_;
-}
-
-double PacingPlan::cycles_per_month() const noexcept {
-  return cycle_seconds <= 0.0 ? 0.0
-                              : (30.0 * 86400.0) / cycle_seconds;
-}
-
-PacingPlan plan_cycle(std::uint64_t scope_addresses,
-                      double probes_per_second, int shards) {
-  TASS_EXPECTS(probes_per_second > 0.0);
-  TASS_EXPECTS(shards >= 1);
-  PacingPlan plan;
-  plan.targets = scope_addresses;
-  plan.probes_per_second = probes_per_second;
-  plan.cycle_seconds =
-      static_cast<double>(scope_addresses) / probes_per_second;
-  plan.shards = shards;
-  return plan;
-}
-
-ShardedScopeIterator::ShardedScopeIterator(const ScanScope& scope,
-                                           std::uint64_t seed,
-                                           std::uint32_t shard_index,
-                                           std::uint32_t shard_count)
-    : indexer_(scope.targets()),
-      iterator_(TargetIterator::shard(seed, shard_index, shard_count,
-                                      std::max<std::uint64_t>(
-                                          indexer_.size(), 1))) {}
-
-std::optional<net::Ipv4Address> ShardedScopeIterator::next() {
-  if (indexer_.size() == 0) return std::nullopt;
-  const auto offset = iterator_.next_value();
-  if (!offset) return std::nullopt;
-  return indexer_.at(*offset);
 }
 
 }  // namespace tass::scan

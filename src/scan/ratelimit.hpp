@@ -1,20 +1,13 @@
-// Probe pacing: token-bucket rate limiting and scan-cycle scheduling.
+// Probe pacing: token-bucket rate limiting.
 //
 // Being a good Internet citizen is not only about *what* you probe but
-// *how fast*: responsible scanners cap their probe rate and spread a
-// cycle over days. This module provides a deterministic token bucket (the
-// ZMap -r/--rate mechanism) and a scheduler that splits one scan cycle
-// into per-day shards using the permutation's shard support, plus the
-// arithmetic for sizing Delta-t against a rate budget.
+// *how fast*: responsible scanners cap their probe rate. This module
+// provides a deterministic token bucket (the ZMap -r/--rate mechanism);
+// the stream reactor keeps one per origin AS to bound its rescans.
 //
 // Time is passed in explicitly (seconds as double) so simulations and
 // tests are deterministic; nothing here reads a wall clock.
 #pragma once
-
-#include <cstdint>
-
-#include "scan/scope.hpp"
-#include "scan/target_iterator.hpp"
 
 namespace tass::scan {
 
@@ -27,14 +20,6 @@ class TokenBucket {
   /// Attempts to consume `tokens` at time `now`; returns success.
   bool try_consume(double tokens, double now) noexcept;
 
-  /// Earliest time at which `tokens` could be consumed (>= now), under
-  /// the same 1e-9 tolerance as try_consume — so
-  /// try_consume(t, ready_time(t, now)) always succeeds for any
-  /// satisfiable demand. A demand beyond capacity (tokens > burst +
-  /// 1e-9) can never succeed and returns +infinity.
-  double ready_time(double tokens, double now) noexcept;
-
-  double available(double now) noexcept;
   double rate() const noexcept { return rate_; }
   double burst() const noexcept { return burst_; }
 
@@ -45,38 +30,6 @@ class TokenBucket {
   double burst_;
   double tokens_;
   double last_refill_ = 0.0;
-};
-
-/// Sizing arithmetic for one periodic scan deployment.
-struct PacingPlan {
-  std::uint64_t targets = 0;       // addresses per cycle
-  double probes_per_second = 0;    // rate budget
-  double cycle_seconds = 0;        // time to complete one cycle
-  int shards = 1;                  // per-day (or per-slot) shards
-
-  /// Cycles that fit in a 30-day month at this rate.
-  double cycles_per_month() const noexcept;
-};
-
-/// Plans a cycle over `scope_addresses` targets at `probes_per_second`,
-/// split into `shards` equal slots (e.g. one per day).
-PacingPlan plan_cycle(std::uint64_t scope_addresses,
-                      double probes_per_second, int shards);
-
-/// Iterates one shard of a scope's permutation: shard `index` of `count`
-/// visits a disjoint ~1/count of the scope, and the union over all shards
-/// is exactly the scope (ZMap --shards over a whitelist).
-class ShardedScopeIterator {
- public:
-  ShardedScopeIterator(const ScanScope& scope, std::uint64_t seed,
-                       std::uint32_t shard_index, std::uint32_t shard_count);
-
-  /// Next target address in this shard, or nullopt when exhausted.
-  std::optional<net::Ipv4Address> next();
-
- private:
-  net::AddressIndexer indexer_;
-  TargetIterator iterator_;
 };
 
 }  // namespace tass::scan

@@ -175,8 +175,9 @@ template SampleDesignT<net::Ipv4Family> plan_sample(
 template SampleDesignT<net::Ipv6Family> plan_sample(
     const core::DensityRankingT<net::Ipv6Family>&, const SampleParams&);
 
-SampledScopeT<net::Ipv4Family>::SampledScopeT(
-    SampleDesignT<net::Ipv4Family> design)
+template <class Family>
+SampledScopeT<Family>::SampledScopeT(SampleDesignT<Family> design)
+    requires std::same_as<Family, net::Ipv4Family>
     : design_(std::move(design)) {
   targets_.reserve(static_cast<std::size_t>(design_.total_draws));
   cell_offsets_.reserve(design_.cells.size() + 1);
@@ -201,37 +202,11 @@ SampledScopeT<net::Ipv4Family>::SampledScopeT(
   scope_ = ScanScope(net::IntervalSet(singletons));
 }
 
-SampleResult SampledScopeT<net::Ipv4Family>::result_skeleton() const {
-  SampleResult out;
-  out.cells.reserve(design_.cells.size());
-  for (const auto& row : design_.cells) {
-    SampleCellResult cell;
-    cell.cell = row.cell;
-    cell.universe = row.universe;
-    cell.draws = row.draws;
-    cell.seed_hosts = row.seed_hosts;
-    out.cells.push_back(cell);
-  }
-  out.probes_sent = design_.total_draws;
-  out.frame_units = design_.frame_units;
-  return out;
-}
-
-SampleResult SampledScopeT<net::Ipv4Family>::attribute(
-    std::span<const std::uint64_t> cell_counts) const {
-  SampleResult out = result_skeleton();
-  for (auto& row : out.cells) {
-    TASS_EXPECTS(row.cell < cell_counts.size());
-    row.hits = cell_counts[row.cell];
-    out.hits += row.hits;
-  }
-  return out;
-}
-
-SampledScopeT<net::Ipv6Family>::SampledScopeT(
-    SampleDesignT<net::Ipv6Family> design,
-    std::span<const net::Ipv6Address> candidates,
-    const bgp::PrefixPartition6& partition)
+template <class Family>
+SampledScopeT<Family>::SampledScopeT(
+    SampleDesignT<Family> design, std::span<const Address> candidates,
+    const bgp::BasicPrefixPartition<Family>& partition)
+    requires std::same_as<Family, net::Ipv6Family>
     : design_(std::move(design)) {
   // Attribute every candidate to its partition cell, then bucket the
   // candidate indices per design cell (in candidate order, so hitlist
@@ -276,7 +251,8 @@ SampledScopeT<net::Ipv6Family>::SampledScopeT(
   }
 }
 
-SampleResult SampledScopeT<net::Ipv6Family>::result_skeleton() const {
+template <class Family>
+SampleResult SampledScopeT<Family>::result_skeleton() const {
   SampleResult out;
   out.cells.reserve(design_.cells.size());
   for (const auto& row : design_.cells) {
@@ -291,5 +267,22 @@ SampleResult SampledScopeT<net::Ipv6Family>::result_skeleton() const {
   out.frame_units = design_.frame_units;
   return out;
 }
+
+template <class Family>
+SampleResult SampledScopeT<Family>::attribute(
+    std::span<const std::uint64_t> cell_counts) const
+    requires std::same_as<Family, net::Ipv4Family>
+{
+  SampleResult out = result_skeleton();
+  for (auto& row : out.cells) {
+    TASS_EXPECTS(row.cell < cell_counts.size());
+    row.hits = cell_counts[row.cell];
+    out.hits += row.hits;
+  }
+  return out;
+}
+
+template class SampledScopeT<net::Ipv4Family>;
+template class SampledScopeT<net::Ipv6Family>;
 
 }  // namespace tass::scan

@@ -21,12 +21,11 @@
 // ScanScope, so ScanEngine::run_attributed and every other ScanScope
 // consumer work on a sampled scan unchanged; the IPv6 scope subsamples
 // the per-cell candidate lists (ScanScope6 semantics — there is no
-// enumerable v6 frame). Both expose the ZMap cyclic-group
-// permutation/shard contract over the drawn target list.
+// enumerable v6 frame).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,7 +34,7 @@
 #include "net/family.hpp"
 #include "scan/scope.hpp"
 #include "scan/sobol.hpp"
-#include "scan/target_iterator.hpp"
+#include "util/error.hpp"
 
 namespace tass::scan {
 
@@ -127,71 +126,62 @@ struct SampleResult {
   std::uint64_t frame_units = 0;  // exhaustive cost of the same frame
 };
 
-template <class Family>
-class SampledScopeT;
-
-/// IPv4: draws stratified offsets inside each design cell's prefix and
+/// The drawn targets of one design, grouped by design cell.
+///
+/// IPv4 draws stratified offsets inside each design cell's prefix and
 /// materialises them into a ScanScope, so the sampled scan runs through
-/// the exact same engine entry points as an exhaustive one.
-template <>
-class SampledScopeT<net::Ipv4Family> {
+/// the exact same engine entry points as an exhaustive one. IPv6
+/// subsamples the candidate set (hitlist) per design cell: the
+/// candidates are attributed to cells through the partition, each
+/// cell's universe is re-capped to its actual candidate count, and the
+/// draws pick candidate indices via the same stratified machinery.
+template <class Family>
+class SampledScopeT {
  public:
-  SampledScopeT() = default;
-  explicit SampledScopeT(SampleDesignT<net::Ipv4Family> design);
+  using Address = typename Family::Address;
 
-  const SampleDesignT<net::Ipv4Family>& design() const noexcept {
-    return design_;
-  }
+  SampledScopeT() = default;
+  explicit SampledScopeT(SampleDesignT<Family> design)
+      requires std::same_as<Family, net::Ipv4Family>;
+  SampledScopeT(SampleDesignT<Family> design,
+                std::span<const Address> candidates,
+                const bgp::BasicPrefixPartition<Family>& partition)
+      requires std::same_as<Family, net::Ipv6Family>;
+
+  const SampleDesignT<Family>& design() const noexcept { return design_; }
 
   /// The drawn targets as a regular ScanScope — feed it to
   /// ScanEngine::run/run_attributed/estimate unchanged.
-  const ScanScope& scope() const noexcept { return scope_; }
+  const ScanScope& scope() const noexcept
+      requires std::same_as<Family, net::Ipv4Family>
+  {
+    return scope_;
+  }
 
   /// The drawn targets, grouped by design cell (ascending inside a
-  /// group), for direct iteration.
-  std::span<const net::Ipv4Address> targets() const noexcept {
-    return targets_;
-  }
+  /// group for IPv4, candidate order for IPv6).
+  std::span<const Address> targets() const noexcept { return targets_; }
   std::size_t target_count() const noexcept { return targets_.size(); }
-  net::Ipv4Address target(std::size_t index) const noexcept {
+  Address target(std::size_t index) const noexcept {
     TASS_EXPECTS(index < targets_.size());
     return targets_[index];
   }
   /// Targets of design cell `i` (an index into design().cells).
-  std::span<const net::Ipv4Address> cell_targets(std::size_t i) const {
+  std::span<const Address> cell_targets(std::size_t i) const {
     TASS_EXPECTS(i + 1 < cell_offsets_.size());
     return std::span(targets_).subspan(cell_offsets_[i],
                                        cell_offsets_[i + 1] -
                                            cell_offsets_[i]);
   }
 
-  /// ZMap cyclic-group permutation over the drawn target list —
-  /// identical contract to ScanScope6::permutation/shard.
-  TargetIterator permutation(std::uint64_t seed) const {
-    TASS_EXPECTS(!targets_.empty());
-    return TargetIterator(seed, targets_.size());
-  }
-  TargetIterator permutation_shard(std::uint64_t seed,
-                                   std::uint32_t shard_index,
-                                   std::uint32_t shard_count) const {
-    TASS_EXPECTS(!targets_.empty());
-    return TargetIterator::shard(seed, shard_index, shard_count,
-                                 targets_.size());
-  }
-  std::optional<net::Ipv4Address> next_target(TargetIterator& it) const {
-    const auto value = it.next_value();
-    if (!value) return std::nullopt;
-    return target(static_cast<std::size_t>(*value));
-  }
-
-  /// Probes every drawn target through `responds` (bool(Ipv4Address));
+  /// Probes every drawn target through `responds` (bool(Address));
   /// `marked` flags the interesting subpopulation among the hits.
   template <class RespondFn, class MarkedFn>
   SampleResult probe(RespondFn&& responds, MarkedFn&& marked) const {
     SampleResult out = result_skeleton();
     for (std::size_t i = 0; i < design_.cells.size(); ++i) {
       SampleCellResult& row = out.cells[i];
-      for (const net::Ipv4Address addr : cell_targets(i)) {
+      for (const Address addr : cell_targets(i)) {
         if (!responds(addr)) continue;
         ++row.hits;
         if (marked(addr)) ++row.marked_hits;
@@ -204,99 +194,26 @@ class SampledScopeT<net::Ipv4Family> {
   template <class RespondFn>
   SampleResult probe(RespondFn&& responds) const {
     return probe(std::forward<RespondFn>(responds),
-                 [](net::Ipv4Address) { return false; });
+                 [](Address) { return false; });
   }
 
   /// Folds an engine run over scope() back into per-cell sample rows:
   /// `cell_counts` is AttributedScanResult.cell_counts for the same
   /// partition the design's ranking was built over.
-  SampleResult attribute(std::span<const std::uint64_t> cell_counts) const;
+  SampleResult attribute(std::span<const std::uint64_t> cell_counts) const
+      requires std::same_as<Family, net::Ipv4Family>;
 
  private:
   SampleResult result_skeleton() const;
 
-  SampleDesignT<net::Ipv4Family> design_;
-  std::vector<net::Ipv4Address> targets_;  // grouped by design cell
+  SampleDesignT<Family> design_;
+  std::vector<Address> targets_;           // grouped by design cell
   std::vector<std::size_t> cell_offsets_;  // cells.size() + 1 fenceposts
-  ScanScope scope_;
+  ScanScope scope_;  // IPv4 only; stays empty for IPv6
 };
 
-/// IPv6: subsamples the candidate set (hitlist) per design cell — the
-/// candidates are attributed to cells through the partition, each cell's
-/// universe is re-capped to its actual candidate count, and the draws
-/// pick candidate indices via the same stratified machinery.
-template <>
-class SampledScopeT<net::Ipv6Family> {
- public:
-  SampledScopeT() = default;
-  SampledScopeT(SampleDesignT<net::Ipv6Family> design,
-                std::span<const net::Ipv6Address> candidates,
-                const bgp::PrefixPartition6& partition);
-
-  const SampleDesignT<net::Ipv6Family>& design() const noexcept {
-    return design_;
-  }
-
-  std::span<const net::Ipv6Address> targets() const noexcept {
-    return targets_;
-  }
-  std::size_t target_count() const noexcept { return targets_.size(); }
-  net::Ipv6Address target(std::size_t index) const noexcept {
-    TASS_EXPECTS(index < targets_.size());
-    return targets_[index];
-  }
-  std::span<const net::Ipv6Address> cell_targets(std::size_t i) const {
-    TASS_EXPECTS(i + 1 < cell_offsets_.size());
-    return std::span(targets_).subspan(cell_offsets_[i],
-                                       cell_offsets_[i + 1] -
-                                           cell_offsets_[i]);
-  }
-
-  TargetIterator permutation(std::uint64_t seed) const {
-    TASS_EXPECTS(!targets_.empty());
-    return TargetIterator(seed, targets_.size());
-  }
-  TargetIterator permutation_shard(std::uint64_t seed,
-                                   std::uint32_t shard_index,
-                                   std::uint32_t shard_count) const {
-    TASS_EXPECTS(!targets_.empty());
-    return TargetIterator::shard(seed, shard_index, shard_count,
-                                 targets_.size());
-  }
-  std::optional<net::Ipv6Address> next_target(TargetIterator& it) const {
-    const auto value = it.next_value();
-    if (!value) return std::nullopt;
-    return target(static_cast<std::size_t>(*value));
-  }
-
-  template <class RespondFn, class MarkedFn>
-  SampleResult probe(RespondFn&& responds, MarkedFn&& marked) const {
-    SampleResult out = result_skeleton();
-    for (std::size_t i = 0; i < design_.cells.size(); ++i) {
-      SampleCellResult& row = out.cells[i];
-      for (const net::Ipv6Address addr : cell_targets(i)) {
-        if (!responds(addr)) continue;
-        ++row.hits;
-        if (marked(addr)) ++row.marked_hits;
-      }
-      out.hits += row.hits;
-      out.marked_hits += row.marked_hits;
-    }
-    return out;
-  }
-  template <class RespondFn>
-  SampleResult probe(RespondFn&& responds) const {
-    return probe(std::forward<RespondFn>(responds),
-                 [](net::Ipv6Address) { return false; });
-  }
-
- private:
-  SampleResult result_skeleton() const;
-
-  SampleDesignT<net::Ipv6Family> design_;
-  std::vector<net::Ipv6Address> targets_;  // grouped by design cell
-  std::vector<std::size_t> cell_offsets_;
-};
+extern template class SampledScopeT<net::Ipv4Family>;
+extern template class SampledScopeT<net::Ipv6Family>;
 
 using SampledScope = SampledScopeT<net::Ipv4Family>;
 using SampledScope6 = SampledScopeT<net::Ipv6Family>;

@@ -52,12 +52,26 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
+void append_error(std::vector<std::uint8_t>& out, Op op,
+                  std::uint32_t request_id, std::string_view message);
+
 // Appends one complete response frame (length word + header + body) to
-// the connection's output buffer.
+// the connection's output buffer. A response over kMaxFrameBytes would
+// be rejected by every client's frame layer (and desynchronise the
+// stream), so it is answered with an error frame instead.
 void append_response(std::vector<std::uint8_t>& out, ResponseHeader header,
                      std::span<const std::uint8_t> body) {
-  put_u32(out, static_cast<std::uint32_t>(kResponseHeaderBytes +
-                                          body.size()));
+  const std::size_t payload = kResponseHeaderBytes + body.size();
+  if (payload > kMaxFrameBytes) {
+    append_error(out, header.op, header.request_id,
+                 "serve: op " +
+                     std::to_string(static_cast<unsigned>(header.op)) +
+                     " response of " + std::to_string(payload) +
+                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                     "-byte frame cap; narrow the request");
+    return;
+  }
+  put_u32(out, static_cast<std::uint32_t>(payload));
   encode_response_header(out, header);
   out.insert(out.end(), body.begin(), body.end());
 }
@@ -72,6 +86,25 @@ void append_error(std::vector<std::uint8_t>& out, Op op,
   append_response(out, header,
                   {reinterpret_cast<const std::uint8_t*>(message.data()),
                    message.size()});
+}
+
+// Client-supplied phi must be validated here: the library treats phi
+// outside (0, 1] (NaN included) as a precondition violation and aborts.
+void check_phi(double phi, const char* op) {
+  if (!(phi > 0.0 && phi <= 1.0)) {
+    throw Error(std::string("serve: ") + op + " phi must be in (0, 1]");
+  }
+}
+
+// The density selection a kPlan or kReduce request asks for.
+template <class Params>
+core::SelectionParams selection_params(const Params& params, const char* op) {
+  check_phi(params.phi, op);
+  core::SelectionParams selection;
+  selection.phi = params.phi;
+  selection.min_density = params.min_density;
+  if (params.max_addresses != 0) selection.max_addresses = params.max_addresses;
+  return selection;
 }
 
 // Reads one batch of raw addresses off the request cursor in the
@@ -555,15 +588,9 @@ void Server::handle_query(std::size_t shard, const RequestHeader& request,
       break;
     }
     case Op::kPlan: {
-      const PlanParams params = decode_plan_params(cursor);
-      core::SelectionParams selection_params;
-      selection_params.phi = params.phi;
-      selection_params.min_density = params.min_density;
-      if (params.max_addresses != 0) {
-        selection_params.max_addresses = params.max_addresses;
-      }
-      const auto selection =
-          core::select_by_density(image.ranking(), selection_params);
+      const auto selection = core::select_by_density(
+          image.ranking(),
+          selection_params(decode_plan_params(cursor), "plan"));
       put_u64(body, selection.selected_addresses);
       put_u64(body, selection.covered_hosts);
       put_u64(body, selection.total_hosts);
@@ -617,11 +644,7 @@ void Server::handle_query(std::size_t shard, const RequestHeader& request,
     }
     case Op::kSample: {
       const SampleParams params = decode_sample_params(cursor);
-      // Validate here rather than letting library preconditions abort
-      // the daemon on a malformed request.
-      if (!(params.phi > 0.0 && params.phi <= 1.0)) {
-        throw Error("serve: sample phi must be in (0, 1]");
-      }
+      check_phi(params.phi, "sample");
       scan::SampleParams plan_params;
       plan_params.budget = params.budget;
       plan_params.floor = params.floor;
@@ -645,23 +668,14 @@ void Server::handle_query(std::size_t shard, const RequestHeader& request,
     }
     case Op::kReduce: {
       const ReduceParams params = decode_reduce_params(cursor);
-      // Validate here rather than letting library preconditions abort
-      // the daemon on a malformed request.
-      if (!(params.phi > 0.0 && params.phi <= 1.0)) {
-        throw Error("serve: reduce phi must be in (0, 1]");
-      }
+      const core::SelectionParams selection_request =
+          selection_params(params, "reduce");
       if (!(std::isfinite(params.max_overshoot) &&
             params.max_overshoot >= 0.0)) {
         throw Error("serve: reduce max_overshoot must be finite and >= 0");
       }
-      core::SelectionParams selection_params;
-      selection_params.phi = params.phi;
-      selection_params.min_density = params.min_density;
-      if (params.max_addresses != 0) {
-        selection_params.max_addresses = params.max_addresses;
-      }
       const auto selection =
-          core::select_by_density(image.ranking(), selection_params);
+          core::select_by_density(image.ranking(), selection_request);
       bgp::ReduceParams reduce_params;
       reduce_params.max_overshoot = params.max_overshoot;
       reduce_params.min_prefixes = params.min_prefixes;

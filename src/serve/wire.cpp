@@ -286,21 +286,4 @@ std::optional<std::span<const std::uint8_t>> next_frame(
   return payload;
 }
 
-std::string_view op_name(Op op) noexcept {
-  switch (op) {
-    case Op::kPing: return "ping";
-    case Op::kInfo: return "info";
-    case Op::kRank: return "rank";
-    case Op::kPlan: return "plan";
-    case Op::kLocate: return "locate";
-    case Op::kTally: return "tally";
-    case Op::kStats: return "stats";
-    case Op::kReload: return "reload";
-    case Op::kShutdown: return "shutdown";
-    case Op::kSample: return "sample";
-    case Op::kReduce: return "reduce";
-  }
-  return "unknown";
-}
-
 }  // namespace tass::serve

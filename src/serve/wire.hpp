@@ -270,6 +270,4 @@ std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload);
 std::optional<std::span<const std::uint8_t>> next_frame(
     std::span<const std::uint8_t> buffer, std::size_t& offset);
 
-std::string_view op_name(Op op) noexcept;
-
 }  // namespace tass::serve

@@ -5,8 +5,8 @@
 // scope) derives everything a scan cycle needs from raw inputs, and that
 // derivation is what makes process start expensive: parsing the routing
 // table and rebuilding the LpmIndex costs tens of milliseconds per
-// process, every time. TSIM persists the *derived* state the way
-// census/io persists snapshots, but relocation-free: the payload sections
+// process, every time. TSIM persists the *derived* state
+// relocation-free: the payload sections
 // of the file are the flat arrays of a built trie::BasicLpmIndex,
 // bgp::BasicPrefixPartition and core::DensityRankingT, byte for byte
 // (fixed-width little-endian, 8-byte aligned). Loading is therefore
@@ -27,9 +27,8 @@
 //            offset 16 to the end of the file, so everything except the
 //            magic/version/checksum triple itself is tamper-evident
 //   16  u64  topology fingerprint — FNV-1a over the live cell prefixes in
-//            slot order, the same digest census::topology_fingerprint
-//            produces for a fresh partition, so an image can be bound to
-//            the TSNP snapshots of the same topology
+//            slot order (bgp::partition_fingerprint), so an image can
+//            only be bound to the topology it was sealed from
 //   24  u32  prefix mode and family: low byte = ranking prefix mode
 //            (0 = less, 1 = more); byte 1 = the family field (0 for
 //            historical IPv4 images, 6 for IPv6); upper bytes zero
@@ -104,9 +103,8 @@ inline constexpr std::uint32_t kImageMagic4 = 0x4d495354u;
 inline constexpr std::uint32_t kImageMagic6 = 0x36495354u;
 
 // The topology fingerprint an image binds to is
-// bgp::partition_fingerprint — the same digest census::topology_fingerprint
-// wraps, so TSIM images and TSNP snapshots of one topology are mutually
-// bindable.
+// bgp::partition_fingerprint — the same digest the serve wire echoes in
+// every response header.
 
 /// Header fields and section tallies of a validated image.
 struct ImageInfo {

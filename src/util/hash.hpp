@@ -1,9 +1,9 @@
-// FNV-1a 64-bit hashing: content checksums for the snapshot container and
+// FNV-1a 64-bit hashing: content checksums for the state image and
 // structural fingerprints (e.g. partition identity). Not cryptographic —
 // it guards against corruption and mismatched inputs, not adversaries.
 //
 // Two constructions live here:
-//   * Fnv1a64 / fnv1a64 — the textbook byte-serial form (TSNP snapshots,
+//   * Fnv1a64 / fnv1a64 — the textbook byte-serial form (structural
 //     fingerprints). Its multiply chain caps it at a few hundred MB/s.
 //   * fnv1a64_wide — eight interleaved FNV-1a lanes over 64-byte blocks,
 //     folded into one digest. The lanes have no cross dependencies, so

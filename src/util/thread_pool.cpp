@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/numa.hpp"
-
 namespace tass::util {
 
 std::size_t shard_count_for(std::uint64_t total_items,
@@ -34,24 +32,13 @@ std::size_t shard_count_for_slots(std::uint64_t total_items,
                          max_shards);
 }
 
-ThreadPool::ThreadPool(unsigned threads, ThreadPoolOptions options) {
+ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // The calling thread is participant 0 and runs shards like any
-  // worker, so it gets the same placement treatment: without this the
-  // caller's shards first-touch memory on whatever node the OS left it
-  // on while all workers are pinned — an asymmetry that shows up as one
-  // slow shard per region.
-  if (options.numa_pin) numa::pin_thread_to_node(0);
   workers_.reserve(threads - 1);
   for (unsigned i = 1; i < threads; ++i) {
-    // Pin before entering the loop: the worker's stack and everything
-    // it first-touches from then on stay on its node.
-    workers_.emplace_back([this, i, options] {
-      if (options.numa_pin) numa::pin_thread_to_node(i);
-      worker_loop();
-    });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -128,11 +115,7 @@ void ThreadPool::for_each_shard(std::size_t shard_count,
 }
 
 ThreadPool& ThreadPool::shared() {
-  // Deployments opt the process-wide pool into NUMA pinning with
-  // TASS_NUMA_PIN=1; harmless (a no-op) everywhere else.
-  static ThreadPool pool(0,
-                         ThreadPoolOptions{numa::pin_requested_from_env() &&
-                                           numa::available()});
+  static ThreadPool pool(0);
   return pool;
 }
 

@@ -51,24 +51,12 @@ std::size_t shard_count_for_slots(std::uint64_t total_items,
 void run_shards(unsigned threads, std::size_t shard_count,
                 const std::function<void(std::size_t)>& fn);
 
-/// Construction knobs beyond the thread count.
-struct ThreadPoolOptions {
-  /// Pin all participants round-robin across NUMA nodes (execution +
-  /// preferred memory policy), so shard scratch first-touched by a
-  /// participant stays on its node for the pool's lifetime. The
-  /// constructing (caller) thread is participant 0 and is pinned to
-  /// node 0 like any worker. No-op when built without libnuma (CMake
-  /// TASS_NUMA) or on single-node machines. The shared() pool reads
-  /// the TASS_NUMA_PIN environment toggle for this.
-  bool numa_pin = false;
-};
-
 class ThreadPool {
  public:
   /// A pool with `threads` participants including the calling thread
   /// (i.e. `threads - 1` workers are spawned). 0 means one participant
   /// per hardware thread.
-  explicit ThreadPool(unsigned threads = 0, ThreadPoolOptions options = {});
+  explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -87,27 +75,11 @@ class ThreadPool {
   void for_each_shard(std::size_t shard_count,
                       const std::function<void(std::size_t)>& fn);
 
-  /// Chunked parallel-for over the index range [begin, end): the range is
-  /// split into `shard_count` contiguous chunks with deterministic
-  /// boundaries and fn(shard, chunk_begin, chunk_end) runs per chunk.
-  template <typename Fn>
-  void parallel_for(std::uint64_t begin, std::uint64_t end,
-                    std::size_t shard_count, Fn&& fn) {
-    if (begin >= end) return;
-    const std::uint64_t total = end - begin;
-    if (shard_count > total) shard_count = static_cast<std::size_t>(total);
-    if (shard_count == 0) shard_count = 1;
-    for_each_shard(shard_count, [&](std::size_t shard) {
-      const auto [lo, hi] = chunk_bounds(begin, total, shard_count, shard);
-      fn(shard, lo, hi);
-    });
-  }
-
   /// Process-wide pool sized to the hardware, built on first use. Shared
   /// by every pipeline stage that does not get an explicit pool.
   static ThreadPool& shared();
 
-  /// Deterministic chunk boundaries used by parallel_for: chunk `shard`
+  /// Deterministic chunk boundaries used by run_chunks: chunk `shard`
   /// of `shard_count` over [begin, begin + total). 128-bit intermediates
   /// keep the split exact for any uint64 range.
   static constexpr std::pair<std::uint64_t, std::uint64_t> chunk_bounds(
@@ -142,9 +114,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// run_shards over chunked index ranges: fn(shard, chunk_begin,
-/// chunk_end) with the same deterministic boundaries as
-/// ThreadPool::parallel_for.
+/// run_shards over chunked index ranges: the range [begin, end) is split
+/// into `shard_count` (clamped to the range size) contiguous chunks with
+/// ThreadPool::chunk_bounds boundaries, and fn(shard, chunk_begin,
+/// chunk_end) runs once per chunk.
 template <typename Fn>
 void run_chunks(unsigned threads, std::uint64_t begin, std::uint64_t end,
                 std::size_t shard_count, Fn&& fn) {

@@ -49,8 +49,9 @@ TEST(Attribution, RankScanResultsMatchesSnapshotPath) {
       topo, census::protocol_profile(census::Protocol::kFtp), pop);
 
   const auto addresses = snapshot.addresses();
-  const auto from_scan = core::rank_scan_results(
-      addresses, topo->m_partition, core::PrefixMode::kMore);
+  const auto from_scan = core::rank_by_density(
+      core::attribute(addresses, topo->m_partition).counts,
+      topo->m_partition, core::PrefixMode::kMore);
   const auto from_census =
       core::rank_by_density(snapshot, core::PrefixMode::kMore);
 

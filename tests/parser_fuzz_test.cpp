@@ -1098,3 +1098,346 @@ TEST(Ipv6TextCorruption, Pfx2As6TruncationsAndByteFlipsParseOrThrow) {
 
 }  // namespace
 }  // namespace tass::net
+
+// ---- tass_serve wire requests -----------------------------------------
+//
+// The daemon's input boundary is one request frame. For every Op the
+// suite feeds an in-process daemon each truncation of a well-formed
+// request, count overclaims, out-of-range floating-point parameters,
+// unknown ops and families, and seeded byte flips. Malformed requests
+// must be answered with a well-formed error frame; flipped requests may
+// also happen to stay well-formed, so those only have to get a
+// well-formed response. Either way the same connection must keep
+// serving the next well-formed request — the daemon never aborts and
+// never drops the peer on client input.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <fstream>
+#include <limits>
+#include <memory>
+#include <thread>
+
+#include "serve/server.hpp"
+#include "serve/wire.hpp"
+
+namespace tass::serve {
+namespace {
+
+std::string write_temp(const std::string& stem,
+                       const std::vector<std::byte>& bytes) {
+  const std::string path = ::testing::TempDir() + stem + "." +
+                           std::to_string(static_cast<long>(::getpid()));
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+// One blocking loopback connection exchanging raw frames, with a receive
+// timeout so a daemon that stopped answering fails the test instead of
+// hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) throw Error("socket failed");
+    timeval timeout{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) != 0) {
+      ::close(fd_);
+      throw Error("connect failed");
+    }
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  // Sends one framed payload and returns the header of the one response
+  // frame it gets back; throws if the peer closes or the frame is
+  // malformed.
+  ResponseHeader roundtrip(std::span<const std::uint8_t> payload) {
+    const auto framed = frame(payload);
+    for (std::size_t sent = 0; sent < framed.size();) {
+      const ssize_t n = ::send(fd_, framed.data() + sent,
+                               framed.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) throw Error("send failed");
+      sent += static_cast<std::size_t>(n);
+    }
+    for (;;) {
+      std::size_t offset = 0;
+      if (const auto response =
+              next_frame(std::span<const std::uint8_t>(in_), offset)) {
+        Cursor cursor(*response);
+        const ResponseHeader header = decode_response_header(cursor);
+        in_.erase(in_.begin(),
+                  in_.begin() + static_cast<std::ptrdiff_t>(offset));
+        return header;
+      }
+      std::uint8_t buf[16384];
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      if (n <= 0) throw Error("daemon closed the connection or timed out");
+      in_.insert(in_.end(), buf, buf + n);
+    }
+  }
+
+ private:
+  int fd_;
+  std::vector<std::uint8_t> in_;
+};
+
+std::vector<std::uint8_t> request(Op op, net::AddressFamily family,
+                                  std::uint32_t count) {
+  RequestHeader header;
+  header.op = op;
+  header.family = family;
+  header.request_id = 77;
+  header.count = count;
+  std::vector<std::uint8_t> out;
+  encode_request_header(out, header);
+  return out;
+}
+
+std::vector<std::uint8_t> plan_request(net::AddressFamily family,
+                                       const PlanParams& params) {
+  auto out = request(Op::kPlan, family, 0);
+  encode_plan_params(out, params);
+  return out;
+}
+
+std::vector<std::uint8_t> sample_request(net::AddressFamily family,
+                                         const SampleParams& params) {
+  auto out = request(Op::kSample, family, 0);
+  encode_sample_params(out, params);
+  return out;
+}
+
+std::vector<std::uint8_t> reduce_request(net::AddressFamily family,
+                                         const ReduceParams& params) {
+  auto out = request(Op::kReduce, family, 0);
+  encode_reduce_params(out, params);
+  return out;
+}
+
+// A batch request (kLocate/kTally) of `n` addresses in the family's
+// width, announcing `count` of them.
+std::vector<std::uint8_t> batch_request(Op op, net::AddressFamily family,
+                                        std::uint32_t n,
+                                        std::uint32_t count) {
+  auto out = request(op, family, count);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (family == net::AddressFamily::kIpv4) {
+      put_address(out, ((i + 1) << 24) | (i * 7919u));
+    } else {
+      put_address(out, net::Ipv6Address(
+                           0x2001000000000000ULL | ((i + 1ULL) << 32), i));
+    }
+  }
+  return out;
+}
+
+class ServeWireCorruption : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    v4_path_ = new std::string(
+        write_temp("serve_wire_fuzz.tsim", state::valid_image()));
+    v6_path_ = new std::string(
+        write_temp("serve_wire_fuzz.tsi6", state::valid_image6()));
+    ServerOptions options;
+    options.v4_image_path = *v4_path_;
+    options.v6_image_path = *v6_path_;
+    options.threads = 2;
+    server_ = new Server(std::move(options));
+    thread_ = new std::thread([] { server_->run(); });
+  }
+  static void TearDownTestSuite() {
+    server_->stop();
+    thread_->join();
+    delete thread_;
+    delete server_;
+    std::remove(v4_path_->c_str());
+    std::remove(v6_path_->c_str());
+    delete v4_path_;
+    delete v6_path_;
+  }
+
+  void SetUp() override {
+    connection_ = std::make_unique<RawConnection>(server_->port());
+  }
+
+  // One well-formed request per Op and family, kShutdown last (its
+  // well-formed form stops the daemon, so only its corruptions are fed).
+  static std::vector<std::vector<std::uint8_t>> templates() {
+    std::vector<std::vector<std::uint8_t>> out;
+    out.push_back(request(Op::kPing, net::AddressFamily::kIpv4, 0));
+    out.push_back(request(Op::kStats, net::AddressFamily::kIpv4, 0));
+    for (const auto family :
+         {net::AddressFamily::kIpv4, net::AddressFamily::kIpv6}) {
+      out.push_back(request(Op::kInfo, family, 0));
+      out.push_back(request(Op::kRank, family, 5));
+      PlanParams plan;
+      plan.phi = 0.8;
+      plan.max_addresses = 1u << 30;
+      out.push_back(plan_request(family, plan));
+      out.push_back(batch_request(Op::kLocate, family, 6, 6));
+      out.push_back(batch_request(Op::kTally, family, 6, 6));
+      SampleParams sample;
+      sample.budget = 500;
+      sample.floor = 4;
+      sample.phi = 0.9;
+      out.push_back(sample_request(family, sample));
+      ReduceParams reduce;
+      reduce.phi = 0.9;
+      reduce.max_overshoot = 0.1;
+      out.push_back(reduce_request(family, reduce));
+    }
+    // Reload of the image being served (the path is the body).
+    auto reload = request(Op::kReload, net::AddressFamily::kIpv4,
+                          static_cast<std::uint32_t>(v4_path_->size()));
+    reload.insert(reload.end(), v4_path_->begin(), v4_path_->end());
+    out.push_back(std::move(reload));
+    out.push_back(request(Op::kShutdown, net::AddressFamily::kIpv4, 0));
+    return out;
+  }
+
+  // The daemon still answers a well-formed request on this connection.
+  void expect_still_serving() {
+    const auto ping = request(Op::kPing, net::AddressFamily::kIpv4, 0);
+    const ResponseHeader header = connection_->roundtrip(ping);
+    EXPECT_EQ(header.status, Status::kOk);
+    EXPECT_EQ(header.request_id, 77u);
+  }
+
+  void expect_error_frame(std::span<const std::uint8_t> payload,
+                          const std::string& what) {
+    EXPECT_EQ(connection_->roundtrip(payload).status, Status::kError)
+        << what;
+    expect_still_serving();
+  }
+
+  static std::string* v4_path_;
+  static std::string* v6_path_;
+  static Server* server_;
+  static std::thread* thread_;
+  std::unique_ptr<RawConnection> connection_;
+};
+
+std::string* ServeWireCorruption::v4_path_ = nullptr;
+std::string* ServeWireCorruption::v6_path_ = nullptr;
+Server* ServeWireCorruption::server_ = nullptr;
+std::thread* ServeWireCorruption::thread_ = nullptr;
+
+TEST_F(ServeWireCorruption, WellFormedTemplatesAreServed) {
+  auto requests = templates();
+  requests.pop_back();  // kShutdown
+  for (const auto& payload : requests) {
+    EXPECT_NE(connection_->roundtrip(payload).status, Status::kError)
+        << "op " << static_cast<int>(payload[0]);
+  }
+}
+
+TEST_F(ServeWireCorruption, EveryTruncationIsAnErrorFrame) {
+  for (const auto& payload : templates()) {
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      expect_error_frame(std::span(payload).first(cut),
+                         "op " + std::to_string(payload[0]) + " cut at " +
+                             std::to_string(cut));
+    }
+  }
+}
+
+TEST_F(ServeWireCorruption, CountOverclaimsAreErrorFrames) {
+  for (const auto family :
+       {net::AddressFamily::kIpv4, net::AddressFamily::kIpv6}) {
+    for (const Op op : {Op::kLocate, Op::kTally}) {
+      for (const std::uint32_t count : {7u, 1000u, 0xFFFFFFFFu}) {
+        expect_error_frame(batch_request(op, family, 6, count),
+                           "batch count " + std::to_string(count));
+      }
+    }
+  }
+  auto reload = request(Op::kReload, net::AddressFamily::kIpv4, 64);
+  reload.push_back('x');
+  expect_error_frame(reload, "reload path overclaim");
+}
+
+TEST_F(ServeWireCorruption, NonFiniteAndOutOfRangeParametersAreErrorFrames) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad_phis[] = {std::nan(""), inf, -inf, -0.5, 0.0, 1.5};
+  for (const auto family :
+       {net::AddressFamily::kIpv4, net::AddressFamily::kIpv6}) {
+    for (const double phi : bad_phis) {
+      const std::string what = "phi " + std::to_string(phi);
+      PlanParams plan;
+      plan.phi = phi;
+      expect_error_frame(plan_request(family, plan), "plan " + what);
+      SampleParams sample;
+      sample.phi = phi;
+      expect_error_frame(sample_request(family, sample), "sample " + what);
+      ReduceParams reduce;
+      reduce.phi = phi;
+      expect_error_frame(reduce_request(family, reduce), "reduce " + what);
+    }
+    for (const double overshoot : {std::nan(""), inf, -inf, -0.1}) {
+      ReduceParams reduce;
+      reduce.max_overshoot = overshoot;
+      expect_error_frame(reduce_request(family, reduce),
+                         "max_overshoot " + std::to_string(overshoot));
+    }
+  }
+}
+
+TEST_F(ServeWireCorruption, UnknownOpsFamiliesAndReservedBitsAreErrorFrames) {
+  for (const auto& payload : templates()) {
+    for (const std::uint8_t op : {0, 12, 100, 255}) {
+      auto mutated = payload;
+      mutated[0] = op;
+      expect_error_frame(mutated, "op byte " + std::to_string(op));
+    }
+    for (const std::uint8_t family : {1, 5, 7, 255}) {
+      auto mutated = payload;
+      mutated[1] = family;
+      expect_error_frame(mutated, "family byte " + std::to_string(family));
+    }
+    auto reserved = payload;
+    reserved[3] = 1;
+    expect_error_frame(reserved, "reserved field");
+  }
+}
+
+TEST_F(ServeWireCorruption, SeededByteFlipsGetWellFormedResponses) {
+  auto requests = templates();
+  requests.pop_back();  // a flip must never be able to stop the daemon
+  util::Rng rng(2024);
+  for (const auto& payload : requests) {
+    for (int round = 0; round < 150; ++round) {
+      auto mutated = payload;
+      const std::size_t flips = 1 + rng.bounded(3);
+      for (std::size_t i = 0; i < flips; ++i) {
+        mutated[rng.bounded(mutated.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.bounded(255));
+      }
+      if (mutated[0] == static_cast<std::uint8_t>(Op::kShutdown) ||
+          mutated[0] == static_cast<std::uint8_t>(Op::kReload)) {
+        continue;  // control ops: stopping or reloading is not on trial
+      }
+      ResponseHeader header;
+      ASSERT_NO_THROW(header = connection_->roundtrip(mutated))
+          << "op " << static_cast<int>(payload[0]) << " round " << round;
+      expect_still_serving();
+    }
+  }
+}
+
+}  // namespace
+}  // namespace tass::serve

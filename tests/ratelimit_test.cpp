@@ -1,18 +1,16 @@
-// Tests for scan/ratelimit: token bucket, pacing arithmetic and sharded
-// scope iteration.
+// Tests for scan/ratelimit: the token bucket the stream reactor paces
+// its per-origin-AS rescans with.
 #include "scan/ratelimit.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <set>
 
 namespace tass::scan {
 namespace {
 
 TEST(TokenBucket, StartsFullAndConsumes) {
   TokenBucket bucket(100.0, 10.0);
-  EXPECT_DOUBLE_EQ(bucket.available(0.0), 10.0);
+  EXPECT_DOUBLE_EQ(bucket.rate(), 100.0);
+  EXPECT_DOUBLE_EQ(bucket.burst(), 10.0);
   EXPECT_TRUE(bucket.try_consume(10.0, 0.0));
   EXPECT_FALSE(bucket.try_consume(1.0, 0.0));
 }
@@ -28,17 +26,9 @@ TEST(TokenBucket, CapsAtBurst) {
   TokenBucket bucket(1000.0, 5.0);
   EXPECT_TRUE(bucket.try_consume(5.0, 0.0));
   // After a long idle period the bucket holds only `burst` tokens.
-  EXPECT_DOUBLE_EQ(bucket.available(100.0), 5.0);
-  EXPECT_FALSE(bucket.try_consume(6.0, 200.0));
-}
-
-TEST(TokenBucket, ReadyTimePredictsConsumability) {
-  TokenBucket bucket(10.0, 10.0);
-  EXPECT_TRUE(bucket.try_consume(10.0, 0.0));
-  const double ready = bucket.ready_time(5.0, 0.0);
-  EXPECT_DOUBLE_EQ(ready, 0.5);
-  EXPECT_FALSE(bucket.try_consume(5.0, 0.49));
-  EXPECT_TRUE(bucket.try_consume(5.0, 0.51));
+  EXPECT_FALSE(bucket.try_consume(6.0, 100.0));
+  EXPECT_TRUE(bucket.try_consume(5.0, 100.0));
+  EXPECT_FALSE(bucket.try_consume(1.0, 100.0));
 }
 
 TEST(TokenBucket, TimeNeverRunsBackwards) {
@@ -46,101 +36,6 @@ TEST(TokenBucket, TimeNeverRunsBackwards) {
   EXPECT_TRUE(bucket.try_consume(10.0, 5.0));
   // An earlier timestamp must not refill.
   EXPECT_FALSE(bucket.try_consume(1.0, 1.0));
-}
-
-TEST(PacingPlan, CycleArithmetic) {
-  // 2.8B targets at 100kpps: a full cycle takes ~7.8 hours; a polite
-  // 10kpps stretches it to ~3.2 days.
-  const auto fast = plan_cycle(2'800'000'000ULL, 100'000.0, 1);
-  EXPECT_NEAR(fast.cycle_seconds / 3600.0, 7.78, 0.01);
-  EXPECT_GT(fast.cycles_per_month(), 90.0);
-
-  const auto slow = plan_cycle(2'800'000'000ULL, 10'000.0, 28);
-  EXPECT_NEAR(slow.cycle_seconds / 86400.0, 3.24, 0.01);
-  EXPECT_EQ(slow.shards, 28);
-}
-
-TEST(ShardedScope, ShardsPartitionTheScope) {
-  const std::vector<net::Prefix> prefixes = {
-      net::Prefix::parse_or_throw("100.64.0.0/20"),
-      net::Prefix::parse_or_throw("100.96.0.0/22")};
-  const ScanScope scope(prefixes, Blocklist{});
-  const std::uint64_t total = scope.address_count();
-
-  constexpr std::uint32_t kShards = 5;
-  std::set<std::uint32_t> seen;
-  for (std::uint32_t shard = 0; shard < kShards; ++shard) {
-    ShardedScopeIterator iterator(scope, 11, shard, kShards);
-    std::uint64_t count = 0;
-    while (const auto addr = iterator.next()) {
-      EXPECT_TRUE(scope.contains(*addr));
-      EXPECT_TRUE(seen.insert(addr->value()).second);
-      ++count;
-    }
-    // Shards are near-equal: the only imbalance comes from the few group
-    // elements above the universe (p - 1 - total of them) plus rounding.
-    EXPECT_NEAR(static_cast<double>(count),
-                static_cast<double>(total) / kShards, 40.0);
-  }
-  EXPECT_EQ(seen.size(), total);
-}
-
-TEST(TokenBucket, ReadyTimeRoundTripsThroughTryConsume) {
-  // ready_time and try_consume must agree under one tolerance: the
-  // instant ready_time reports is an instant try_consume accepts.
-  TokenBucket bucket(3.0, 5.0);
-  ASSERT_TRUE(bucket.try_consume(5.0, 0.0));  // drain the burst
-  double now = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double demand = 1.0 + (i % 7) * 0.41;
-    const double at = bucket.ready_time(demand, now);
-    EXPECT_GE(at, now);
-    EXPECT_TRUE(bucket.try_consume(demand, at)) << "iteration " << i;
-    now = at;
-  }
-}
-
-TEST(TokenBucket, ReadyTimeRoundTripsAtLargeClockMagnitudes) {
-  // Epoch-style timestamps: 1e9 seconds is where a ULP exceeds the
-  // 1e-9 absolute tolerance, so this exercises the nextafter closure.
-  TokenBucket bucket(10.0, 2.0);
-  double now = 1.7e9;
-  ASSERT_TRUE(bucket.try_consume(2.0, now));
-  for (int i = 0; i < 1000; ++i) {
-    const double at = bucket.ready_time(1.5, now);
-    EXPECT_GE(at, now);
-    ASSERT_TRUE(bucket.try_consume(1.5, at)) << "iteration " << i;
-    now = at;
-  }
-}
-
-TEST(TokenBucket, ReadyTimeIsInfiniteAboveCapacity) {
-  // Demands the bucket can never hold must not map to a finite instant
-  // at which try_consume still refuses.
-  TokenBucket bucket(10.0, 5.0);
-  const double at = bucket.ready_time(6.0, 0.0);
-  EXPECT_TRUE(std::isinf(at));
-  EXPECT_GT(at, 0.0);
-  // At (and just over) capacity the round-trip guarantee still holds.
-  const double edge = bucket.ready_time(5.0, 0.0);
-  EXPECT_TRUE(std::isfinite(edge));
-  EXPECT_TRUE(bucket.try_consume(5.0, edge));
-}
-
-TEST(TokenBucket, ReadyTimeToleratesBackwardsClock) {
-  TokenBucket bucket(2.0, 1.0);
-  ASSERT_TRUE(bucket.try_consume(1.0, 100.0));
-  // A now earlier than the last refill must still produce a usable
-  // (and non-decreasing) ready time.
-  const double at = bucket.ready_time(1.0, 50.0);
-  EXPECT_GE(at, 100.0);
-  EXPECT_TRUE(bucket.try_consume(1.0, at));
-}
-
-TEST(ShardedScope, EmptyScopeYieldsNothing) {
-  const ScanScope scope;
-  ShardedScopeIterator iterator(scope, 1, 0, 1);
-  EXPECT_FALSE(iterator.next().has_value());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for bgp/reduce: family-generic exact aggregation and the
 // overshoot-bounded greedy reduction, plus the scan-layer consumers
-// (ScanScope::of_reduced, ScanScope6::of_reduced, Blocklist::compact).
+// (ScanScope::of_reduced, ScanScope6::of_reduced).
 #include "bgp/reduce.hpp"
 
 #include <gtest/gtest.h>
@@ -315,44 +315,6 @@ TEST(ReduceScope, V6OfReducedAdmitsEveryOriginalCandidate) {
           << address.to_string() << " lost by reduction";
     }
   }
-}
-
-TEST(ReduceBlocklist, CompactOnlyGrowsTheBlockedSets) {
-  scan::Blocklist blocklist;
-  blocklist.add(pfx("10.0.0.0/24"));
-  blocklist.add(pfx("10.0.1.0/24"));
-  blocklist.add(pfx("10.0.3.0/24"));
-  blocklist.add(pfx6("2001:db8::/50"));
-  blocklist.add(pfx6("2001:db8:0:8000::/50"));
-  blocklist.add(pfx6("2001:db8:0:c000::/50"));
-
-  const std::vector<Ipv4Address> blocked4 = {
-      Ipv4Address::parse_or_throw("10.0.0.1"),
-      Ipv4Address::parse_or_throw("10.0.1.255"),
-      Ipv4Address::parse_or_throw("10.0.3.3")};
-  const std::vector<Ipv6Address> blocked6 = {
-      Ipv6Address::parse_or_throw("2001:db8::1"),
-      Ipv6Address::parse_or_throw("2001:db8:0:9000::2"),
-      Ipv6Address::parse_or_throw("2001:db8:0:ffff::3")};
-
-  ReduceParams params;
-  params.max_overshoot = 0.5;
-  const auto stats = blocklist.compact(params);
-  EXPECT_EQ(stats.v4_before, 2u);  // the sibling pair pre-coalesces
-  EXPECT_LE(stats.v4_after, stats.v4_before);
-  EXPECT_EQ(stats.v6_before, 3u);
-  EXPECT_EQ(stats.v6_after, 1u);
-  EXPECT_EQ(stats.v6_overshoot_units, std::uint64_t{1} << 14);
-
-  // Everything blocked before is still blocked (over-blocking only).
-  for (const Ipv4Address address : blocked4) {
-    EXPECT_TRUE(blocklist.blocks(address)) << address.to_string();
-  }
-  for (const Ipv6Address address : blocked6) {
-    EXPECT_TRUE(blocklist.blocks(address)) << address.to_string();
-  }
-  EXPECT_EQ(blocklist.blocked_addresses(),
-            stats.v4_overshoot_addresses + 3u * 256u);
 }
 
 }  // namespace

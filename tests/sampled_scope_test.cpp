@@ -229,29 +229,6 @@ TEST(SampledScope, TargetsLandInsideTheirCells) {
   }
 }
 
-TEST(SampledScope, PermutationAndShardsCoverTargetsExactlyOnce) {
-  const auto ranking = tiny_ranking();
-  SampleParams params;
-  params.budget = 300;
-  const SampledScope scope(plan_sample(ranking, params));
-
-  std::multiset<std::uint32_t> full;
-  auto it = scope.permutation(5);
-  while (const auto addr = scope.next_target(it)) {
-    full.insert(addr->value());
-  }
-  EXPECT_EQ(full.size(), scope.target_count());
-
-  std::multiset<std::uint32_t> sharded;
-  for (std::uint32_t shard = 0; shard < 3; ++shard) {
-    auto part = scope.permutation_shard(5, shard, 3);
-    while (const auto addr = scope.next_target(part)) {
-      sharded.insert(addr->value());
-    }
-  }
-  EXPECT_EQ(sharded, full);
-}
-
 TEST(SampledScope, ProbeMatchesEngineRunOverScope) {
   // The engine consumes scope() unchanged; per-cell attribution of the
   // engine run must equal the scope's own probe() rows.

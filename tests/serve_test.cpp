@@ -12,7 +12,9 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,16 +40,18 @@ std::string temp_path(const std::string& stem) {
          std::to_string(static_cast<long>(::getpid()));
 }
 
-// A tiny v4 topology: `n` disjoint 10.x.0.0/16 cells with seeded
-// per-cell host counts. Different (n, seed) pairs produce different
-// topology fingerprints.
+// A tiny v4 topology: `n` disjoint cells of length `length` packed from
+// 10.0.0.0 up (10.x.0.0/16 by default) with seeded per-cell host
+// counts. Different (n, seed) pairs produce different topology
+// fingerprints.
 std::string make_v4_image(const std::string& stem, std::size_t n,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, std::uint8_t length = 16) {
   std::vector<net::Prefix> prefixes;
   for (std::size_t i = 0; i < n; ++i) {
     prefixes.emplace_back(
-        net::Ipv4Address((10u << 24) | (static_cast<std::uint32_t>(i) << 16)),
-        16);
+        net::Ipv4Address((10u << 24) |
+                         (static_cast<std::uint32_t>(i) << (32 - length))),
+        length);
   }
   bgp::PrefixPartition partition(std::move(prefixes));
   std::vector<std::uint32_t> counts(partition.size());
@@ -249,6 +253,16 @@ TEST(ServeDaemon, AnswersMatchDirectLibraryCalls) {
   for (std::size_t i = 0; i < plan.prefixes.size(); ++i) {
     EXPECT_EQ(plan.prefixes[i].v4(), direct_plan.prefixes[i]);
   }
+  // A phi outside (0, 1] or NaN is a well-formed error frame, not a
+  // daemon abort, and the connection keeps serving.
+  for (const double bad_phi : {1.5, std::nan(""), 0.0, -0.25,
+                               std::numeric_limits<double>::infinity()}) {
+    PlanParams bad = params;
+    bad.phi = bad_phi;
+    EXPECT_THROW(client.plan(net::AddressFamily::kIpv4, bad), Error)
+        << "phi " << bad_phi;
+  }
+  EXPECT_EQ(client.ping().status, Status::kOk);
 
   // locate: in-partition, boundary and unrouted addresses.
   std::vector<std::uint32_t> addresses4;
@@ -299,6 +313,35 @@ TEST(ServeDaemon, AnswersMatchDirectLibraryCalls) {
 
   std::remove(v4_path.c_str());
   std::remove(v6_path.c_str());
+}
+
+TEST(ServeDaemon, OversizedResponseIsAnErrorFrame) {
+  // 50k /24 cells: a 45000-row rank reply (24-byte v4 rows) is past the
+  // 1 MiB frame cap. The daemon must answer with an error frame naming
+  // the byte count instead of a frame its own client rejects, and the
+  // same connection must keep serving.
+  const std::string v4_path =
+      make_v4_image("serve_test_frame_cap", 50'000, 9, 24);
+  ServerOptions options;
+  options.v4_image_path = v4_path;
+  options.threads = 2;
+  RunningServer running(std::move(options));
+  Client client("127.0.0.1", running.server.port());
+
+  try {
+    client.rank(net::AddressFamily::kIpv4, 45'000);
+    ADD_FAILURE() << "an over-cap rank reply must be an error frame";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("remote error"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("frame cap"), std::string::npos)
+        << e.what();
+  }
+  const auto [header, rows] = client.rank(net::AddressFamily::kIpv4, 1'000);
+  EXPECT_EQ(header.status, Status::kOk);
+  EXPECT_EQ(rows.size(), 1'000u);
+  EXPECT_EQ(client.ping().status, Status::kOk);
+  std::remove(v4_path.c_str());
 }
 
 TEST(ServeDaemon, SampleDesignMatchesDirectPlanSample) {

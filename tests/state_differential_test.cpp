@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bgp/partition.hpp"
-#include "census/io.hpp"
 #include "census/topology.hpp"
 #include "core/ranking.hpp"
 #include "state/image.hpp"
@@ -194,17 +193,6 @@ TEST(StateImage, RoundTripsAcrossSeedsFreshAndChurned) {
       expect_views_identical(partition, ranking, image, rng);
     }
   }
-}
-
-TEST(StateImage, FingerprintMatchesCensusTopologyFingerprint) {
-  // TSIM images and TSNP snapshots of one topology must be mutually
-  // bindable: both digests are bgp::partition_fingerprint underneath.
-  census::TopologyParams params;
-  params.seed = 3;
-  params.l_prefix_count = 200;
-  const auto topology = census::generate_topology(params);
-  EXPECT_EQ(census::topology_fingerprint(*topology),
-            bgp::partition_fingerprint(topology->m_partition));
 }
 
 TEST(StateImage, EncodingIsDeterministic) {

@@ -1,12 +1,15 @@
 // Unit tests for util/strings: the line and field cursors, trimming,
 // strict numeric parsing and formatting helpers used by the text-format
-// parsers.
+// parsers — plus the util/hash FNV-1a digest the binary formats share.
 #include "util/strings.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <span>
 #include <vector>
+
+#include "util/hash.hpp"
 
 namespace tass::util {
 namespace {
@@ -125,6 +128,24 @@ TEST(Fixed, FormatsWithPrecision) {
   EXPECT_EQ(fixed(0.5, 3), "0.500");
   EXPECT_EQ(fixed(1.0 / 3.0, 2), "0.33");
   EXPECT_EQ(fixed(-2.5, 1), "-2.5");
+}
+
+TEST(Fnv1a, KnownVectorsAndStreaming) {
+  // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
+  util::Fnv1a64 empty;
+  EXPECT_EQ(empty.digest(), util::Fnv1a64::kOffsetBasis);
+  util::Fnv1a64 a;
+  a.update(static_cast<std::uint8_t>('a'));
+  EXPECT_EQ(a.digest(), 0xaf63dc4c8601ec8cULL);
+  // Streaming equals one-shot.
+  const char text[] = "topology aware scanning";
+  util::Fnv1a64 stream;
+  for (const char c : std::string_view(text)) {
+    stream.update(static_cast<std::uint8_t>(c));
+  }
+  EXPECT_EQ(stream.digest(),
+            util::fnv1a64(std::as_bytes(
+                std::span(text, std::string_view(text).size()))));
 }
 
 }  // namespace

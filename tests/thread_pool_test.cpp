@@ -50,46 +50,44 @@ TEST(ThreadPool, RunsEveryShardExactlyOnce) {
   }
 }
 
-TEST(ThreadPool, ParallelForChunksCoverTheRangeExactly) {
-  ThreadPool pool(4);
+TEST(RunChunks, ChunksCoverTheRangeExactly) {
   // Chunk boundaries must tile [begin, end) without gaps or overlaps and
   // be identical for any pool size (they depend only on the arguments).
   const std::uint64_t begin = 1000;
   const std::uint64_t end = 1000 + 12345;
   std::vector<std::atomic<int>> touched(12345);
-  pool.parallel_for(begin, end, 16,
-                    [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
-                      EXPECT_LT(lo, hi);
-                      for (std::uint64_t i = lo; i < hi; ++i) {
-                        touched[i - begin].fetch_add(1);
-                      }
-                    });
+  run_chunks(4, begin, end, 16,
+             [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
+               EXPECT_LT(lo, hi);
+               for (std::uint64_t i = lo; i < hi; ++i) {
+                 touched[i - begin].fetch_add(1);
+               }
+             });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-TEST(ThreadPool, ChunkBoundariesAreDeterministic) {
+TEST(RunChunks, ChunkBoundariesAreDeterministic) {
   // Record the boundaries with two differently-sized pools; they must
   // agree because the merge-order determinism of the pipeline depends on
   // it.
   const auto boundaries = [](unsigned threads) {
-    ThreadPool pool(threads);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks(7);
-    pool.parallel_for(3, 1000, 7,
-                      [&](std::size_t shard, std::uint64_t lo,
-                          std::uint64_t hi) { chunks[shard] = {lo, hi}; });
+    run_chunks(threads, 3, 1000, 7,
+               [&](std::size_t shard, std::uint64_t lo, std::uint64_t hi) {
+                 chunks[shard] = {lo, hi};
+               });
     return chunks;
   };
   EXPECT_EQ(boundaries(1), boundaries(8));
 }
 
-TEST(ThreadPool, ShardCountLargerThanRangeIsClamped) {
-  ThreadPool pool(3);
+TEST(RunChunks, ShardCountLargerThanRangeIsClamped) {
   std::atomic<int> calls{0};
-  pool.parallel_for(0, 2, 100,
-                    [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
-                      EXPECT_EQ(hi, lo + 1);
-                      calls.fetch_add(1);
-                    });
+  run_chunks(3, 0, 2, 100,
+             [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
+               EXPECT_EQ(hi, lo + 1);
+               calls.fetch_add(1);
+             });
   EXPECT_EQ(calls.load(), 2);
 }
 
@@ -110,13 +108,14 @@ TEST(ThreadPool, PropagatesTheFirstException) {
 }
 
 TEST(ThreadPool, NestedRegionsMakeProgress) {
-  ThreadPool pool(4);
+  // Regions launched from inside a shared-pool shard reenter the same
+  // pool (threads = 0) and must still complete.
   std::atomic<std::uint64_t> sum{0};
-  pool.for_each_shard(8, [&](std::size_t outer) {
-    pool.parallel_for(0, 100, 4,
-                      [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
-                        sum.fetch_add((hi - lo) * (outer + 1));
-                      });
+  ThreadPool::shared().for_each_shard(8, [&](std::size_t outer) {
+    run_chunks(0, 0, 100, 4,
+               [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
+                 sum.fetch_add((hi - lo) * (outer + 1));
+               });
   });
   // sum = 100 * (1 + 2 + ... + 8)
   EXPECT_EQ(sum.load(), 100u * 36u);
@@ -127,12 +126,12 @@ TEST(ThreadPool, SharedPoolIsUsableAndStable) {
   ThreadPool& b = ThreadPool::shared();
   EXPECT_EQ(&a, &b);
   std::atomic<std::uint64_t> sum{0};
-  a.parallel_for(0, 1'000, 13,
-                 [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
-                   std::uint64_t local = 0;
-                   for (std::uint64_t i = lo; i < hi; ++i) local += i;
-                   sum.fetch_add(local);
-                 });
+  run_chunks(0, 0, 1'000, 13,
+             [&](std::size_t, std::uint64_t lo, std::uint64_t hi) {
+               std::uint64_t local = 0;
+               for (std::uint64_t i = lo; i < hi; ++i) local += i;
+               sum.fetch_add(local);
+             });
   EXPECT_EQ(sum.load(), 999u * 1000u / 2);
 }
 

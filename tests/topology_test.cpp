@@ -83,6 +83,19 @@ TEST(Topology, DeterministicInSeed) {
                           c->table.routes().begin()));
 }
 
+TEST(Topology, PartitionFingerprintDistinguishesTopologies) {
+  TopologyParams params;
+  params.l_prefix_count = 80;
+  params.seed = 71;
+  const auto a = generate_topology(params);
+  params.seed = 72;
+  const auto b = generate_topology(params);
+  EXPECT_EQ(bgp::partition_fingerprint(a->m_partition),
+            bgp::partition_fingerprint(a->m_partition));
+  EXPECT_NE(bgp::partition_fingerprint(a->m_partition),
+            bgp::partition_fingerprint(b->m_partition));
+}
+
 TEST(Topology, StructuralInvariants) {
   TopologyParams params;
   params.seed = 5;

@@ -35,10 +35,12 @@
 // no prober). --feed-as-rate/--feed-as-burst bound the per-origin-AS
 // rescan budget in probes per second (the paper's politeness arm).
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -52,6 +54,7 @@
 #include "stream/reactor.hpp"
 #include "stream/source.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -65,6 +68,11 @@ int usage(const char* argv0) {
                "[--feed-as-rate r] [--feed-as-burst b]\n",
                argv0);
   return 2;
+}
+
+[[noreturn]] void bad_value(const std::string& flag) {
+  std::fprintf(stderr, "tass_serve: bad value for %s\n", flag.c_str());
+  std::exit(2);
 }
 
 /// Rebuilds the reactor bootstrap — the sorted (prefix, origins, count)
@@ -148,6 +156,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Integer flags in [min, max]; real flags finite and >= 0.
+    const auto integer = [&](std::uint64_t min, std::uint64_t max) {
+      const auto parsed = tass::util::parse_u64(value());
+      if (!parsed || *parsed < min || *parsed > max) bad_value(arg);
+      return *parsed;
+    };
+    const auto real = [&]() {
+      const auto parsed = tass::util::parse_double(value());
+      if (!parsed || !std::isfinite(*parsed) || *parsed < 0.0) {
+        bad_value(arg);
+      }
+      return *parsed;
+    };
     if (arg == "--v4") {
       options.v4_image_path = value();
     } else if (arg == "--v6") {
@@ -155,9 +176,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind") {
       options.bind_address = value();
     } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(std::atoi(value()));
+      options.port = static_cast<std::uint16_t>(integer(0, 65535));
     } else if (arg == "--threads") {
-      options.threads = static_cast<unsigned>(std::atoi(value()));
+      options.threads = static_cast<unsigned>(integer(0, 1024));
     } else if (arg == "--feed") {
       feed_spec = value();
     } else if (arg == "--feed-follow") {
@@ -167,14 +188,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--feed-out") {
       feed_out = value();
     } else if (arg == "--feed-batch") {
-      reactor_options.max_batch =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      reactor_options.max_batch = static_cast<std::size_t>(
+          integer(1, std::numeric_limits<std::size_t>::max()));
     } else if (arg == "--feed-delay-ms") {
-      reactor_options.max_batch_delay_seconds = std::atof(value()) / 1e3;
+      reactor_options.max_batch_delay_seconds = real() / 1e3;
     } else if (arg == "--feed-as-rate") {
-      reactor_options.as_probes_per_second = std::atof(value());
+      reactor_options.as_probes_per_second = real();
     } else if (arg == "--feed-as-burst") {
-      reactor_options.as_probe_burst = std::atof(value());
+      // 0 picks the default; a bucket cannot hold less than one probe.
+      reactor_options.as_probe_burst = real();
+      if (reactor_options.as_probe_burst > 0.0 &&
+          reactor_options.as_probe_burst < 1.0) {
+        bad_value(arg);
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
