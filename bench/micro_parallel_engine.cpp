@@ -1,18 +1,10 @@
 // Micro-benchmarks for the sharded, batched scan pipeline (google-
-// benchmark): the enumerate hot path at three stages of the refactor —
-//
-//   legacy     one virtual ProbeOracle::responds() per in-scope address
-//              (partition locate + two binary searches each);
-//   indexed    the batched census::SnapshotIndex oracle on one thread
-//              (rank-directory interval queries: two /16-bounded
-//              binary searches per count, one range copy per collect);
-//   indexed/N  the same, sharded over an N-thread util::ThreadPool.
-//
-// plus the parallel attribution and evaluation stages. Throughput is
-// reported in probes (addresses) per second, so the speedup of any row
-// over `legacy` is read off directly. The acceptance target is >= 4x for
-// the batched path on an 8-core runner; the indexed path alone typically
-// clears that on a single core.
+// benchmark): the scan walk over the census::SnapshotIndex oracle
+// (rank-directory interval queries: two /16-bounded binary searches and
+// one range copy per interval), on one thread and sharded over an
+// N-thread util::ThreadPool, plus the index build and the parallel
+// attribution and evaluation stages. Throughput is reported in probes
+// (addresses) per second.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -54,8 +46,7 @@ const census::Snapshot& shared_snapshot() {
 }
 
 // A scope of the first m-cells adding up to a few million addresses:
-// large enough to dominate fixed costs, small enough that the legacy
-// per-address row still finishes in sane time.
+// large enough to dominate fixed costs, small enough to build quickly.
 const scan::ScanScope& shared_scope() {
   static const scan::ScanScope scope = [] {
     const auto topology = shared_topology();
@@ -73,45 +64,15 @@ const scan::ScanScope& shared_scope() {
   return scope;
 }
 
-// The pre-refactor oracle: membership via Snapshot::contains (partition
-// locate + binary searches), no batched overrides — so the engine falls
-// back to one virtual call per address.
-class LegacySnapshotOracle final : public scan::ProbeOracle {
- public:
-  explicit LegacySnapshotOracle(const census::Snapshot& snapshot)
-      : snapshot_(&snapshot) {}
-  bool responds(net::Ipv4Address addr) const override {
-    return snapshot_->contains(addr);
-  }
-
- private:
-  const census::Snapshot* snapshot_;
-};
-
 void report_probes(benchmark::State& state, std::uint64_t probes_per_iter) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(probes_per_iter));
 }
 
-void BM_EnumerateLegacyPerAddress(benchmark::State& state) {
-  const auto& scope = shared_scope();
-  const LegacySnapshotOracle oracle(shared_snapshot());
-  scan::EngineConfig config;
-  config.order = scan::EngineConfig::Order::kEnumerate;
-  config.threads = 1;
-  const scan::ScanEngine engine(config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(scope, oracle));
-  }
-  report_probes(state, scope.address_count());
-}
-BENCHMARK(BM_EnumerateLegacyPerAddress)->Unit(benchmark::kMillisecond);
-
 void BM_EnumerateIndexed(benchmark::State& state) {
   const auto& scope = shared_scope();
   const scan::SnapshotOracle oracle(shared_snapshot());
   scan::EngineConfig config;
-  config.order = scan::EngineConfig::Order::kEnumerate;
   config.threads = static_cast<unsigned>(state.range(0));
   const scan::ScanEngine engine(config);
   for (auto _ : state) {

@@ -32,7 +32,6 @@
 #include <cstring>
 #include <vector>
 
-#include "bgp/aggregate.hpp"
 #include "bgp/reduce.hpp"
 #include "net/interval.hpp"
 #include "net/prefix.hpp"
@@ -43,6 +42,7 @@
 namespace {
 
 using namespace tass;
+using Aggregate = bgp::BasicAggregate<net::Ipv4Family>;
 
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
   if (prefix_count == 0) prefix_count = 1;
 
   const auto selection = synthesize_selection(prefix_count, seed);
-  const std::uint64_t original_union = bgp::union_size(selection);
-  const auto aggregated = bgp::aggregate(selection);
+  const std::uint64_t original_union = Aggregate::union_size(selection);
+  const auto aggregated = Aggregate::aggregate(selection);
   std::fprintf(stderr, "# world: %zu /24 prefixes (%zu aggregated), %" PRIu64
                        " addresses\n",
                selection.size(), aggregated.size(), original_union);
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    const std::uint64_t reduced_union = bgp::union_size(result.prefixes);
+    const std::uint64_t reduced_union = Aggregate::union_size(result.prefixes);
     if (reduced_union - original_union != result.overshoot_addresses) {
       std::fprintf(stderr,
                    "OVERSHOOT MISCOUNT at cap %.1f%%: union grew by %" PRIu64

@@ -178,16 +178,14 @@ int main(int argc, char** argv) {
     ++shown;
   }
 
-  // 6. Dry-run the plan: replay one cycle against the seed snapshot with
-  //    the sharded engine's estimate path (batched index counts, one
-  //    shard slot per scope chunk, process-wide thread pool) — only the
-  //    totals matter for planning, so no hitlist is materialised.
+  // 6. Dry-run the plan: replay one cycle against the seed snapshot
+  //    through the sharded engine (batched index queries, one shard slot
+  //    per scope chunk, process-wide thread pool).
   scan::EngineConfig engine_config;
-  engine_config.order = scan::EngineConfig::Order::kEnumerate;
   engine_config.threads = 0;  // all hardware threads
   const scan::SnapshotOracle oracle(seed);
   const scan::ScanStats dry_run =
-      scan::ScanEngine(engine_config).estimate(scope, oracle);
+      scan::ScanEngine(engine_config).run(scope, oracle).stats;
   std::printf(
       "\ndry run vs seed snapshot (%u threads): %llu probes, %llu hits, "
       "hitrate %.4f\n",

@@ -93,9 +93,21 @@ core::PrefixMode parse_mode(const std::string& text) {
                    "'");
 }
 
+// A whole decimal number in [0, max]; `what` names the argument.
+std::uint64_t parse_count(const std::string& text, const char* what,
+                          std::uint64_t max = ~std::uint64_t{0}) {
+  const auto value = util::parse_u64(text);
+  if (!value || *value > max) {
+    std::string message = std::string(what) + " must be an integer >= 0";
+    if (max != ~std::uint64_t{0}) message += " and <= " + std::to_string(max);
+    throw ParseError(message + ", got '" + text + "'");
+  }
+  return *value;
+}
+
 // The coverage target phi is a fraction in (0, 1].
 double parse_phi(const std::string& text) {
-  const double phi = std::stod(text);
+  const double phi = util::parse_double(text).value_or(0.0);
   if (!(phi > 0.0 && phi <= 1.0)) {
     throw ParseError("phi must be in (0, 1], got '" + text + "'");
   }
@@ -104,12 +116,12 @@ double parse_phi(const std::string& text) {
 
 // The reduce overshoot cap is a finite, non-negative percentage.
 double parse_overshoot(const std::string& text) {
-  const double pct = std::stod(text);
-  if (!(std::isfinite(pct) && pct >= 0.0)) {
+  const auto pct = util::parse_double(text);
+  if (!pct || !(std::isfinite(*pct) && *pct >= 0.0)) {
     throw ParseError("--overshoot must be a finite percentage >= 0, got '" +
                      text + "'");
   }
-  return pct;
+  return *pct;
 }
 
 // Command-line shape shared by the family-generic verbs: positional
@@ -119,7 +131,7 @@ struct Cli {
   std::vector<std::string> args;  // positionals after the verb
   bool v6 = false;
   bool huge_pages = false;
-  std::uint64_t floor = 16;
+  std::uint32_t floor = 16;
   std::uint64_t seed = 1;
   double phi = 1.0;
   double overshoot_pct = 5.0;      // reduce: address-overshoot cap (%)
@@ -142,15 +154,16 @@ Cli parse_cli(int argc, char** argv, int first) {
         throw ParseError("--family must be v4 or v6, got '" + family + "'");
       }
     } else if (arg == "--floor") {
-      cli.floor = std::stoull(value());
+      cli.floor = static_cast<std::uint32_t>(
+          parse_count(value(), "--floor", 0xffffffffu));
     } else if (arg == "--seed") {
-      cli.seed = std::stoull(value());
+      cli.seed = parse_count(value(), "--seed");
     } else if (arg == "--phi") {
       cli.phi = parse_phi(value());
     } else if (arg == "--overshoot") {
       cli.overshoot_pct = parse_overshoot(value());
     } else if (arg == "--min-prefixes") {
-      cli.min_prefixes = std::stoull(value());
+      cli.min_prefixes = parse_count(value(), "--min-prefixes");
     } else if (arg == "--huge") {
       cli.huge_pages = true;
     } else {
@@ -239,10 +252,8 @@ int run_rank(const Cli& cli) {
   if (cli.args.size() < 2) return usage();
   const core::PrefixMode mode =
       cli.args.size() > 2 ? parse_mode(cli.args[2]) : core::PrefixMode::kMore;
-  const std::size_t top_n =
-      cli.args.size() > 3
-          ? static_cast<std::size_t>(std::stoul(cli.args[3]))
-          : 20;
+  const std::uint64_t top_n =
+      cli.args.size() > 3 ? parse_count(cli.args[3], "n") : 20;
 
   const auto pipeline = build_pipeline<Family>(cli.args[0], cli.args[1],
                                                mode);
@@ -297,7 +308,8 @@ int run_plan(const Cli& cli) {
   if constexpr (Family::kBits == 32) {
     // Whitelist on stdout (aggregated for compactness), summary on
     // stderr.
-    const auto compact = bgp::aggregate(selection.prefixes);
+    const auto compact =
+        bgp::BasicAggregate<Family>::aggregate(selection.prefixes);
     for (const net::Prefix prefix : compact) {
       std::printf("%s\n", prefix.to_string().c_str());
     }
@@ -331,10 +343,10 @@ template <class Family>
 int run_sample(const Cli& cli) {
   if (cli.args.size() < 2) return usage();
   scan::SampleParams params;
-  if (cli.args.size() > 2) params.budget = std::stoull(cli.args[2]);
+  if (cli.args.size() > 2) params.budget = parse_count(cli.args[2], "budget");
   const core::PrefixMode mode =
       cli.args.size() > 3 ? parse_mode(cli.args[3]) : core::PrefixMode::kMore;
-  params.floor = static_cast<std::uint32_t>(cli.floor);
+  params.floor = cli.floor;
   params.seed = cli.seed;
   params.phi = cli.phi;
 
@@ -413,13 +425,14 @@ int cmd_aggregate(const Cli& cli) {
     if (trimmed.empty() || trimmed.front() == '#') continue;
     prefixes.push_back(net::Prefix::parse_or_throw(trimmed));
   }
-  const auto compact = bgp::aggregate(prefixes);
+  using Aggregate = bgp::BasicAggregate<net::Ipv4Family>;
+  const auto compact = Aggregate::aggregate(prefixes);
   for (const net::Prefix prefix : compact) {
     std::printf("%s\n", prefix.to_string().c_str());
   }
   std::fprintf(stderr, "%zu prefixes -> %zu (covering %llu addresses)\n",
                prefixes.size(), compact.size(),
-               static_cast<unsigned long long>(bgp::union_size(compact)));
+               static_cast<unsigned long long>(Aggregate::union_size(compact)));
   return 0;
 }
 

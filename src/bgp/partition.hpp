@@ -234,15 +234,12 @@ class BasicPrefixPartition {
 
   /// The shared per-shard attribution kernel: resolves `addresses` in
   /// cache-sized blocks through locate_many and tallies them into
-  /// counts[cell]; addresses outside the partition increment
-  /// `unattributed` instead. The histogram step runs through the
-  /// util::cpu-dispatched tally kernels (bgp/tally_kernels.hpp) for the
-  /// two Count widths the pipeline instantiates; any other Count falls
-  /// back to the inline scalar loop. Precondition: counts.size() ==
-  /// size().
-  template <typename Count>
+  /// counts[cell] through the util::cpu-dispatched tally kernel
+  /// (bgp/tally_kernels.hpp); addresses outside the partition increment
+  /// `unattributed` instead. Precondition: counts.size() == size().
   void tally_cells(std::span<const AddressWord> addresses,
-                   std::vector<Count>& counts, std::uint64_t& attributed,
+                   std::vector<std::uint32_t>& counts,
+                   std::uint64_t& attributed,
                    std::uint64_t& unattributed) const {
     TASS_EXPECTS(counts.size() == prefixes_view_.size());
     static_assert(detail::kTallyNoCell == kNoCell);
@@ -253,22 +250,7 @@ class BasicPrefixPartition {
          offset += kBlock) {
       const std::size_t n = std::min(kBlock, addresses.size() - offset);
       locate_many(addresses.subspan(offset, n), std::span(cells).first(n));
-      if constexpr (std::same_as<Count, std::uint32_t>) {
-        kernels.tally_u32(cells.data(), n, counts.data(), attributed,
-                          unattributed);
-      } else if constexpr (std::same_as<Count, std::uint64_t>) {
-        kernels.tally_u64(cells.data(), n, counts.data(), attributed,
-                          unattributed);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (cells[i] != kNoCell) {
-            ++counts[cells[i]];
-            ++attributed;
-          } else {
-            ++unattributed;
-          }
-        }
-      }
+      kernels.tally(cells.data(), n, counts.data(), attributed, unattributed);
     }
   }
 

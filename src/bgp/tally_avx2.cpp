@@ -17,9 +17,9 @@ namespace tass::bgp::detail {
 
 namespace {
 
-template <typename Count>
-void avx2_tally(const std::uint32_t* cells, std::size_t n, Count* counts,
-                std::uint64_t& attributed, std::uint64_t& unattributed) {
+void avx2_tally(const std::uint32_t* cells, std::size_t n,
+                std::uint32_t* counts, std::uint64_t& attributed,
+                std::uint64_t& unattributed) {
   const __m256i no_cell = _mm256_set1_epi32(static_cast<int>(kTallyNoCell));
   std::uint64_t hits = 0;
   std::size_t i = 0;
@@ -48,16 +48,14 @@ void avx2_tally(const std::uint32_t* cells, std::size_t n, Count* counts,
 
 }  // namespace
 
-const TallyKernels::TallyU32Fn kAvx2TallyU32 = &avx2_tally<std::uint32_t>;
-const TallyKernels::TallyU64Fn kAvx2TallyU64 = &avx2_tally<std::uint64_t>;
+const TallyKernels::TallyFn kAvx2Tally = &avx2_tally;
 
 }  // namespace tass::bgp::detail
 
 #else  // !(__AVX2__ && __x86_64__)
 
 namespace tass::bgp::detail {
-const TallyKernels::TallyU32Fn kAvx2TallyU32 = nullptr;
-const TallyKernels::TallyU64Fn kAvx2TallyU64 = nullptr;
+const TallyKernels::TallyFn kAvx2Tally = nullptr;
 }  // namespace tass::bgp::detail
 
 #endif

@@ -6,9 +6,9 @@ namespace {
 
 // The reference loop tally_cells always ran; the kernel seam just moves
 // it behind a function pointer.
-template <typename Count>
-void scalar_tally(const std::uint32_t* cells, std::size_t n, Count* counts,
-                  std::uint64_t& attributed, std::uint64_t& unattributed) {
+void scalar_tally(const std::uint32_t* cells, std::size_t n,
+                  std::uint32_t* counts, std::uint64_t& attributed,
+                  std::uint64_t& unattributed) {
   for (std::size_t i = 0; i < n; ++i) {
     if (cells[i] != kTallyNoCell) {
       ++counts[cells[i]];
@@ -22,13 +22,10 @@ void scalar_tally(const std::uint32_t* cells, std::size_t n, Count* counts,
 }  // namespace
 
 const TallyKernels& tally_kernels(util::cpu::SimdLevel level) noexcept {
-  static const TallyKernels kScalarTable{&scalar_tally<std::uint32_t>,
-                                         &scalar_tally<std::uint64_t>,
-                                         "scalar"};
+  static const TallyKernels kScalarTable{&scalar_tally, "scalar"};
   static const TallyKernels kSimdTable{
-      kAvx2TallyU32 != nullptr ? kAvx2TallyU32 : &scalar_tally<std::uint32_t>,
-      kAvx2TallyU64 != nullptr ? kAvx2TallyU64 : &scalar_tally<std::uint64_t>,
-      kAvx2TallyU32 != nullptr ? "avx2" : "scalar"};
+      kAvx2Tally != nullptr ? kAvx2Tally : &scalar_tally,
+      kAvx2Tally != nullptr ? "avx2" : "scalar"};
   return level == util::cpu::SimdLevel::kAvx2 ? kSimdTable : kScalarTable;
 }
 

@@ -1,6 +1,7 @@
 // Kernel dispatch for the per-block histogram step of
 // BasicPrefixPartition::tally_cells — the inner loop of the sharded
-// attribution path (ScanEngine::run_attributed, core::attribute).
+// attribution path (core::attribute, which ScanEngine::run_attributed
+// calls).
 //
 // Same architecture as trie/lpm_kernels.hpp: a table of plain function
 // pointers selected at runtime through util::cpu, with the scalar loop
@@ -26,18 +27,14 @@ namespace tass::bgp::detail {
 /// without dragging the whole index in).
 inline constexpr std::uint32_t kTallyNoCell = 0x7fffffffu;
 
-/// One kernel per Count width the pipeline instantiates: uint32 for the
-/// per-shard slot vectors, uint64 for merged totals. Both accumulate
-/// into the caller's running attributed/unattributed counters.
+/// The histogram kernel over uint32 per-cell counts, the one count width
+/// the pipeline uses. It accumulates into the caller's running
+/// attributed/unattributed counters.
 struct TallyKernels {
-  using TallyU32Fn = void (*)(const std::uint32_t* cells, std::size_t n,
-                              std::uint32_t* counts, std::uint64_t& attributed,
-                              std::uint64_t& unattributed);
-  using TallyU64Fn = void (*)(const std::uint32_t* cells, std::size_t n,
-                              std::uint64_t* counts, std::uint64_t& attributed,
-                              std::uint64_t& unattributed);
-  TallyU32Fn tally_u32 = nullptr;
-  TallyU64Fn tally_u64 = nullptr;
+  using TallyFn = void (*)(const std::uint32_t* cells, std::size_t n,
+                           std::uint32_t* counts, std::uint64_t& attributed,
+                           std::uint64_t& unattributed);
+  TallyFn tally = nullptr;
   const char* name = "scalar";
 };
 
@@ -53,7 +50,6 @@ inline const TallyKernels& active_tally_kernels() noexcept {
 
 // Exported by tally_avx2.cpp; nullptr when that TU was built without
 // AVX2 codegen.
-extern const TallyKernels::TallyU32Fn kAvx2TallyU32;
-extern const TallyKernels::TallyU64Fn kAvx2TallyU64;
+extern const TallyKernels::TallyFn kAvx2Tally;
 
 }  // namespace tass::bgp::detail

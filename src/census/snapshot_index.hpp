@@ -15,7 +15,7 @@
 // store below ~3% density inside occupied /16s — well above the <2% hit
 // rates Internet-wide scans see.
 //
-// This is the batched oracle behind the scan engine's enumerate path and
+// This is the batched oracle behind the scan engine's walk and
 // the same reduce-then-count idiom ipset-style prefix accounting uses.
 #pragma once
 

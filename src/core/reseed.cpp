@@ -91,7 +91,7 @@ ChurnStepStats churn_step(DensityRanking& ranking,
     stats.rescan_hits = attributed.result.stats.responses;
     // The whole cell was in scope, so its count is exact and final.
     for (const std::uint32_t cell : rescan) {
-      counts[cell] = static_cast<std::uint32_t>(attributed.cell_counts[cell]);
+      counts[cell] = attributed.cell_counts[cell];
     }
   }
   rerank_cells(ranking, counts, partition, delta, dirty_cells);

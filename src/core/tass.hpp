@@ -8,20 +8,21 @@
 //
 // The hot path runs on a parallel substrate: util::ThreadPool shards
 // work deterministically (results are bit-identical for any thread
-// count), census::SnapshotIndex turns per-address oracle probes into
-// rank-directory interval queries, and the scan engine, attribution and
+// count), census::SnapshotIndex answers the scan oracle's interval
+// queries from a rank directory, and the scan walk, attribution and
 // evaluation stages all fan out through util::run_shards. Threading
-// knobs: scan::EngineConfig::threads, core::AttributionConfig::threads,
+// knobs: scan::EngineConfig::threads (the scan walk, and the attribution
+// run_attributed hands it to), core::AttributionConfig::threads,
 // core::EvaluationConfig::threads (1 = the calling thread only, 0 = the
 // process-wide pool sized to the hardware, N = a dedicated pool of N);
 // results are identical for every value.
 #pragma once
 
-#include "bgp/aggregate.hpp"
 #include "bgp/deaggregate.hpp"
 #include "bgp/mrt.hpp"
 #include "bgp/partition.hpp"
 #include "bgp/pfx2as.hpp"
+#include "bgp/reduce.hpp"
 #include "bgp/rib.hpp"
 #include "census/churn.hpp"
 #include "census/import.hpp"

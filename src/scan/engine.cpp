@@ -2,94 +2,24 @@
 
 #include <algorithm>
 
-#include "scan/target_iterator.hpp"
+#include "core/attribution.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tass::scan {
 
-std::uint64_t ProbeOracle::count_responsive(net::Interval interval) const {
-  std::uint64_t count = 0;
-  const std::uint64_t last = interval.last.value();
-  for (std::uint64_t value = interval.first.value(); value <= last; ++value) {
-    if (responds(net::Ipv4Address(static_cast<std::uint32_t>(value)))) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-void ProbeOracle::collect_responsive(net::Interval interval,
-                                     std::vector<std::uint32_t>& out) const {
-  const std::uint64_t last = interval.last.value();
-  for (std::uint64_t value = interval.first.value(); value <= last; ++value) {
-    const net::Ipv4Address addr(static_cast<std::uint32_t>(value));
-    if (responds(addr)) out.push_back(addr.value());
-  }
-}
-
-ScanResult ScanEngine::run(const ScanScope& scope,
-                           const ProbeOracle& oracle) const {
-  switch (config_.order) {
-    case EngineConfig::Order::kPermutation:
-      return run_permutation(scope, oracle);
-    case EngineConfig::Order::kEnumerate:
-      return run_enumerated(scope, oracle);
-    case EngineConfig::Order::kAuto:
-      return scope.address_count() <= config_.permutation_threshold
-                 ? run_permutation(scope, oracle)
-                 : run_enumerated(scope, oracle);
-  }
-  return {};
-}
-
-ScanResult ScanEngine::run_permutation(const ScanScope& scope,
-                                       const ProbeOracle& oracle) const {
-  ScanResult result;
-  if (scope.empty()) return result;
-  // Permute the dense scope offsets (ZMap sizes its cyclic group to the
-  // whitelist the same way), so cost is linear in the scope, not in the
-  // whole address space. Stays sequential: the probe order *is* the
-  // semantics of this path.
-  const net::AddressIndexer indexer(scope.targets());
-  TargetIterator targets(config_.seed, indexer.size());
-  while (const auto offset = targets.next_value()) {
-    const net::Ipv4Address addr = indexer.at(*offset);
-    ++result.stats.probes_sent;
-    if (oracle.responds(addr)) {
-      ++result.stats.responses;
-      result.responsive.push_back(addr.value());
-    }
-  }
-  result.stats.packets =
-      config_.cost.packets(result.stats.probes_sent, result.stats.responses);
-  std::sort(result.responsive.begin(), result.responsive.end());
-  return result;
-}
-
 namespace {
 
-// Cumulative address counts: entry i = scope addresses before interval i.
-std::vector<std::uint64_t> prefix_counts(
-    std::span<const net::Interval> intervals) {
-  std::vector<std::uint64_t> cumulative(intervals.size() + 1, 0);
-  for (std::size_t i = 0; i < intervals.size(); ++i) {
-    cumulative[i + 1] = cumulative[i] + intervals[i].size();
-  }
-  return cumulative;
-}
-
-// Visits, in address order, the sub-intervals covering the dense scope
-// ranks [lo, hi) — the one place the rank-to-address arithmetic lives;
-// both the run (collect) and estimate (count) shards walk through here.
-template <typename Fn>
-void for_each_subinterval(std::span<const net::Interval> intervals,
-                          std::span<const std::uint64_t> cumulative,
-                          std::uint64_t lo, std::uint64_t hi, Fn&& fn) {
+// Collects the responsive addresses of the dense scope ranks [lo, hi):
+// the sub-intervals covering those ranks, in address order. `cumulative`
+// holds, at entry i, the scope addresses before interval i.
+void collect_ranks(std::span<const net::Interval> intervals,
+                   std::span<const std::uint64_t> cumulative, std::uint64_t lo,
+                   std::uint64_t hi, const ProbeOracle& oracle,
+                   std::vector<std::uint32_t>& out) {
   std::size_t index = static_cast<std::size_t>(
       std::upper_bound(cumulative.begin(), cumulative.end(), lo) -
       cumulative.begin() - 1);
-  std::uint64_t pos = lo;
-  while (pos < hi) {
+  for (std::uint64_t pos = lo; pos < hi; ++index) {
     const net::Interval& interval = intervals[index];
     const std::uint64_t first =
         interval.first.value() + (pos - cumulative[index]);
@@ -97,120 +27,17 @@ void for_each_subinterval(std::span<const net::Interval> intervals,
         std::min<std::uint64_t>(interval.last.value(),
                                 interval.first.value() +
                                     (hi - 1 - cumulative[index]));
-    fn(net::Interval{net::Ipv4Address(static_cast<std::uint32_t>(first)),
-                     net::Ipv4Address(static_cast<std::uint32_t>(last))});
+    const net::Ipv4Address from(static_cast<std::uint32_t>(first));
+    const net::Ipv4Address to(static_cast<std::uint32_t>(last));
+    oracle.collect_responsive(net::Interval{from, to}, out);
     pos += last - first + 1;
-    ++index;
   }
 }
 
 }  // namespace
 
-ScanStats ScanEngine::estimate(const ScanScope& scope,
-                               const ProbeOracle& oracle) const {
-  ScanStats stats;
-  const std::uint64_t total = scope.address_count();
-  stats.probes_sent = total;
-  const std::span<const net::Interval> intervals = scope.targets().intervals();
-  const std::size_t shards = util::shard_count_for(
-      total, std::max<std::uint64_t>(1, config_.min_addresses_per_shard));
-
-  if (config_.threads == 1 || shards == 1) {
-    for (const net::Interval& interval : intervals) {
-      stats.responses += oracle.count_responsive(interval);
-    }
-  } else {
-    const auto cumulative = prefix_counts(intervals);
-    std::vector<std::uint64_t> slots(shards, 0);
-    util::run_chunks(
-        config_.threads, 0, total, shards,
-        [&](std::size_t shard, std::uint64_t lo, std::uint64_t hi) {
-          for_each_subinterval(intervals, cumulative, lo, hi,
-                               [&](net::Interval sub) {
-                                 slots[shard] +=
-                                     oracle.count_responsive(sub);
-                               });
-        });
-    for (const std::uint64_t slot : slots) stats.responses += slot;
-  }
-  stats.packets = config_.cost.packets(stats.probes_sent, stats.responses);
-  return stats;
-}
-
-AttributedScanResult ScanEngine::run_attributed(
-    const ScanScope& scope, const ProbeOracle& oracle,
-    const bgp::PrefixPartition& partition) const {
-  AttributedScanResult out;
-  out.cell_counts.assign(partition.size(), 0);
-  const std::uint64_t total = scope.address_count();
-  out.result.stats.probes_sent = total;
-  const std::span<const net::Interval> intervals = scope.targets().intervals();
-
-  // Each shard owns a per-cell count vector; shard_count_for_slots caps
-  // the fan-out to a fixed slot-memory budget, thread-count invariant.
-  const std::size_t shards = util::shard_count_for_slots(
-      total, config_.min_addresses_per_shard, partition.size(),
-      sizeof(std::uint64_t));
-
-  if (config_.threads == 1 || shards == 1) {
-    for (const net::Interval& interval : intervals) {
-      oracle.collect_responsive(interval, out.result.responsive);
-    }
-    partition.tally_cells(out.result.responsive, out.cell_counts,
-                          out.attributed, out.unattributed);
-  } else {
-    struct Slot {
-      std::vector<std::uint32_t> responsive;
-      std::vector<std::uint64_t> counts;
-      std::uint64_t attributed = 0;
-      std::uint64_t unattributed = 0;
-    };
-    const auto cumulative = prefix_counts(intervals);
-    std::vector<Slot> slots(shards);
-    util::run_chunks(
-        config_.threads, 0, total, shards,
-        [&](std::size_t shard, std::uint64_t lo, std::uint64_t hi) {
-          Slot& slot = slots[shard];
-          // First-touch NUMA placement: the count vector is allocated
-          // and zero-filled on the worker that will fill it, so its
-          // pages land on that worker's node instead of all piling onto
-          // the node of the calling thread.
-          slot.counts.assign(partition.size(), 0);
-          for_each_subinterval(intervals, cumulative, lo, hi,
-                               [&](net::Interval sub) {
-                                 oracle.collect_responsive(sub,
-                                                           slot.responsive);
-                               });
-          partition.tally_cells(slot.responsive, slot.counts,
-                                slot.attributed, slot.unattributed);
-        });
-    std::size_t found = 0;
-    for (const Slot& slot : slots) found += slot.responsive.size();
-    out.result.responsive.reserve(found);
-    for (const Slot& slot : slots) {
-      out.result.responsive.insert(out.result.responsive.end(),
-                                   slot.responsive.begin(),
-                                   slot.responsive.end());
-      out.attributed += slot.attributed;
-      out.unattributed += slot.unattributed;
-      if (slot.counts.empty()) continue;  // shard never ran (empty chunk)
-      for (std::size_t i = 0; i < out.cell_counts.size(); ++i) {
-        out.cell_counts[i] += slot.counts[i];
-      }
-    }
-  }
-  out.result.stats.responses = out.result.responsive.size();
-  if (!std::is_sorted(out.result.responsive.begin(),
-                      out.result.responsive.end())) {
-    std::sort(out.result.responsive.begin(), out.result.responsive.end());
-  }
-  out.result.stats.packets = config_.cost.packets(
-      out.result.stats.probes_sent, out.result.stats.responses);
-  return out;
-}
-
-ScanResult ScanEngine::run_enumerated(const ScanScope& scope,
-                                      const ProbeOracle& oracle) const {
+ScanResult ScanEngine::run(const ScanScope& scope,
+                           const ProbeOracle& oracle) const {
   ScanResult result;
   const std::uint64_t total = scope.address_count();
   result.stats.probes_sent = total;
@@ -223,16 +50,15 @@ ScanResult ScanEngine::run_enumerated(const ScanScope& scope,
       oracle.collect_responsive(interval, result.responsive);
     }
   } else {
-    const auto cumulative = prefix_counts(intervals);
+    std::vector<std::uint64_t> cumulative(intervals.size() + 1, 0);
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+      cumulative[i + 1] = cumulative[i] + intervals[i].size();
+    }
     std::vector<std::vector<std::uint32_t>> slots(shards);
     util::run_chunks(
         config_.threads, 0, total, shards,
         [&](std::size_t shard, std::uint64_t lo, std::uint64_t hi) {
-          for_each_subinterval(intervals, cumulative, lo, hi,
-                               [&](net::Interval sub) {
-                                 oracle.collect_responsive(sub,
-                                                           slots[shard]);
-                               });
+          collect_ranks(intervals, cumulative, lo, hi, oracle, slots[shard]);
         });
     std::size_t found = 0;
     for (const auto& slot : slots) found += slot.size();
@@ -251,9 +77,21 @@ ScanResult ScanEngine::run_enumerated(const ScanScope& scope,
   if (!std::is_sorted(result.responsive.begin(), result.responsive.end())) {
     std::sort(result.responsive.begin(), result.responsive.end());
   }
-  result.stats.packets =
-      config_.cost.packets(result.stats.probes_sent, result.stats.responses);
   return result;
+}
+
+AttributedScanResult ScanEngine::run_attributed(
+    const ScanScope& scope, const ProbeOracle& oracle,
+    const bgp::PrefixPartition& partition) const {
+  AttributedScanResult out;
+  out.result = run(scope, oracle);
+  core::Attribution attribution =
+      core::attribute(out.result.responsive, partition,
+                      {config_.threads, config_.min_addresses_per_shard});
+  out.cell_counts = std::move(attribution.counts);
+  out.attributed = attribution.attributed;
+  out.unattributed = attribution.unattributed;
+  return out;
 }
 
 }  // namespace tass::scan

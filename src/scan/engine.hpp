@@ -2,27 +2,21 @@
 //
 // Plays the role of ZMap + application-layer follow-up (zgrab) in the
 // paper's methodology: it walks a scan scope, asks a ProbeOracle (the
-// ground-truth census snapshot) whether each target responds, and accounts
-// for probes, hits and packets. Two target orders are provided:
+// ground-truth census snapshot) which targets respond, and accounts for
+// probes and hits. Probe order never changes which hosts a cycle finds,
+// so there is one walk: the scope's intervals in address order, handed
+// to the oracle's batched interval query.
 //
-//   * kPermutation — the ZMap multiplicative-group permutation sized to
-//     the scope (faithful probe ordering: spreads load across networks);
-//     one modular multiplication + indexer lookup per probe. Always
-//     sequential, so the probe order stays exactly the ZMap cycle.
-//   * kEnumerate — walks the scope's intervals in address order through
-//     the oracle's *batched* interval API; same results, cheapest per
-//     probe. The default above a scope-size threshold where probe order
-//     does not matter for simulation.
-//
-// The enumerate path is sharded: the scope is cut into address chunks
-// whose boundaries depend only on the scope (never on the thread count),
-// each shard accumulates into its own ScanResult slot, and the slots are
-// merged in shard order — so the ScanResult is bit-identical for 1 thread
-// and N threads. Oracles must be const-thread-safe when threads != 1.
+// The walk is sharded: the scope is cut into address chunks whose
+// boundaries depend only on the scope (never on the thread count), each
+// shard collects into its own slot, and the slots are concatenated in
+// shard order — so the ScanResult is bit-identical for 1 thread and N
+// threads. Oracles must be const-thread-safe when threads != 1.
+// run_attributed() is run() followed by core::attribute() with the same
+// thread and shard knobs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bgp/partition.hpp"
@@ -30,45 +24,31 @@
 #include "census/snapshot.hpp"
 #include "census/snapshot_index.hpp"
 #include "net/interval.hpp"
-#include "net/ipv4.hpp"
 #include "scan/scope.hpp"
 
 namespace tass::scan {
 
-/// Answers probe simulations. The engine prefers the batched interval
-/// queries on its hot path; the per-address defaults below keep simple
-/// oracles (one virtual call per probe) working unchanged. Implementations
-/// must be cheap, and const-thread-safe if the engine runs multi-threaded.
+/// Answers probe simulations one interval at a time. Implementations
+/// must be cheap, and const-thread-safe if the engine runs
+/// multi-threaded.
 class ProbeOracle {
  public:
   virtual ~ProbeOracle() = default;
-  virtual bool responds(net::Ipv4Address addr) const = 0;
-
-  /// Number of responsive addresses in the inclusive interval. Default:
-  /// one responds() call per address.
-  virtual std::uint64_t count_responsive(net::Interval interval) const;
 
   /// Appends the responsive addresses of the inclusive interval to `out`
-  /// in ascending order. Default: one responds() call per address.
+  /// in ascending order.
   virtual void collect_responsive(net::Interval interval,
-                                  std::vector<std::uint32_t>& out) const;
+                                  std::vector<std::uint32_t>& out) const = 0;
 };
 
 /// Oracle backed by a census ground-truth snapshot. Builds a
-/// census::SnapshotIndex rank directory once so batched interval queries
-/// are two directory-bounded binary searches (plus one range copy for
-/// collect) instead of per-address membership probes.
+/// census::SnapshotIndex rank directory once, so each interval query is
+/// two directory-bounded binary searches plus one range copy.
 class SnapshotOracle final : public ProbeOracle {
  public:
   explicit SnapshotOracle(const census::Snapshot& snapshot)
       : index_(snapshot) {}
 
-  bool responds(net::Ipv4Address addr) const override {
-    return index_.contains(addr);
-  }
-  std::uint64_t count_responsive(net::Interval interval) const override {
-    return index_.count_responsive(interval);
-  }
   void collect_responsive(net::Interval interval,
                           std::vector<std::uint32_t>& out) const override {
     index_.collect_responsive(interval, out);
@@ -99,7 +79,6 @@ struct CostModel {
 struct ScanStats {
   std::uint64_t probes_sent = 0;
   std::uint64_t responses = 0;
-  double packets = 0.0;
 
   /// Fraction of probed addresses that answered (the paper's headline
   /// "hitrates are very often under two percent").
@@ -109,13 +88,6 @@ struct ScanStats {
                : static_cast<double>(responses) /
                      static_cast<double>(probes_sent);
   }
-
-  /// Estimated wall-clock seconds at a given probe rate.
-  double duration_seconds(double probes_per_second) const noexcept {
-    return probes_per_second <= 0.0
-               ? 0.0
-               : static_cast<double>(probes_sent) / probes_per_second;
-  }
 };
 
 struct ScanResult {
@@ -123,33 +95,27 @@ struct ScanResult {
   std::vector<std::uint32_t> responsive;  // ascending addresses
 };
 
-/// A scan cycle fused with per-cell attribution of the hits (paper §3.1
-/// step 1 without a separate pass over the result list).
+/// A scan cycle plus per-cell attribution of its hits (paper §3.1 step 1).
 struct AttributedScanResult {
   ScanResult result;
-  std::vector<std::uint64_t> cell_counts;  // responsive per partition cell
+  std::vector<std::uint32_t> cell_counts;  // responsive per partition cell
   std::uint64_t attributed = 0;            // hits inside the partition
   std::uint64_t unattributed = 0;          // hits outside (unrouted space)
 };
 
 struct EngineConfig {
-  enum class Order { kAuto, kPermutation, kEnumerate };
-  Order order = Order::kAuto;
-  std::uint64_t seed = 1;
-  /// kAuto switches to kEnumerate above this scope size (the permutation
-  /// always pays one group step per address of the full space).
-  std::uint64_t permutation_threshold = 1ULL << 22;
-  CostModel cost;
+  /// The only probe order: the scope's intervals in address order.
+  enum class Order { kEnumerate };
+  Order order = Order::kEnumerate;
 
-  /// Enumerate-path parallelism: 1 runs on the calling thread only (safe
-  /// for oracles with mutable per-probe state, e.g. probe counters);
-  /// 0 uses the process-wide pool sized to the hardware; N > 1 runs on a
-  /// dedicated pool of N threads. Results are identical for every value.
+  /// 1 runs on the calling thread only; 0 uses the process-wide pool
+  /// sized to the hardware; N > 1 runs on a dedicated pool of N threads.
+  /// Results are identical for every value.
   unsigned threads = 1;
 
-  /// Sharding grain for the enumerate path. Shard boundaries depend only
-  /// on the scope and this value — never on `threads` — which is what
-  /// keeps parallel results bit-identical to sequential ones.
+  /// Sharding grain. Shard boundaries depend only on the scope and this
+  /// value — never on `threads` — which is what keeps parallel results
+  /// bit-identical to sequential ones.
   std::uint64_t min_addresses_per_shard = 1ULL << 16;
 };
 
@@ -160,31 +126,16 @@ class ScanEngine {
   /// Simulates one scan cycle over the scope.
   ScanResult run(const ScanScope& scope, const ProbeOracle& oracle) const;
 
-  /// One enumerated scan cycle plus attribution: each shard resolves its
-  /// freshly collected hits against `partition` through the batched
-  /// LpmIndex path while the block is still cache-hot, so no second pass
-  /// over the responsive list is needed. Identical responsive list and
-  /// stats to run() on the enumerate path, and cell_counts identical to
-  /// attributing the result afterwards — for any thread count.
+  /// run() plus core::attribute() of its hits onto `partition`, sharded
+  /// with this engine's `threads` and `min_addresses_per_shard`.
   AttributedScanResult run_attributed(const ScanScope& scope,
                                       const ProbeOracle& oracle,
                                       const bgp::PrefixPartition& partition)
       const;
 
-  /// Probe/hit/packet accounting for one cycle without materialising the
-  /// responsive-address list: pure count_responsive() sums over the scope
-  /// (sharded like the enumerate path). Same stats as run(), cheaper when
-  /// only the totals matter (planning, capacity estimates).
-  ScanStats estimate(const ScanScope& scope, const ProbeOracle& oracle) const;
-
   const EngineConfig& config() const noexcept { return config_; }
 
  private:
-  ScanResult run_permutation(const ScanScope& scope,
-                             const ProbeOracle& oracle) const;
-  ScanResult run_enumerated(const ScanScope& scope,
-                            const ProbeOracle& oracle) const;
-
   EngineConfig config_;
 };
 

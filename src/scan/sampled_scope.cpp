@@ -270,7 +270,7 @@ SampleResult SampledScopeT<Family>::result_skeleton() const {
 
 template <class Family>
 SampleResult SampledScopeT<Family>::attribute(
-    std::span<const std::uint64_t> cell_counts) const
+    std::span<const std::uint32_t> cell_counts) const
     requires std::same_as<Family, net::Ipv4Family>
 {
   SampleResult out = result_skeleton();

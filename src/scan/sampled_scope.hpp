@@ -151,7 +151,7 @@ class SampledScopeT {
   const SampleDesignT<Family>& design() const noexcept { return design_; }
 
   /// The drawn targets as a regular ScanScope — feed it to
-  /// ScanEngine::run/run_attributed/estimate unchanged.
+  /// ScanEngine::run/run_attributed unchanged.
   const ScanScope& scope() const noexcept
       requires std::same_as<Family, net::Ipv4Family>
   {
@@ -200,7 +200,7 @@ class SampledScopeT {
   /// Folds an engine run over scope() back into per-cell sample rows:
   /// `cell_counts` is AttributedScanResult.cell_counts for the same
   /// partition the design's ranking was built over.
-  SampleResult attribute(std::span<const std::uint64_t> cell_counts) const
+  SampleResult attribute(std::span<const std::uint32_t> cell_counts) const
       requires std::same_as<Family, net::Ipv4Family>;
 
  private:

@@ -343,8 +343,7 @@ bool StreamReactor::process_batch() {
         engine_->run_attributed(scope, *oracle_, partition_);
     rescanned_addresses = attributed.result.stats.probes_sent;
     for (const std::uint32_t cell : rescan) {
-      counts_[cell] =
-          static_cast<std::uint32_t>(attributed.cell_counts[cell]);
+      counts_[cell] = attributed.cell_counts[cell];
     }
   }
 

@@ -1,6 +1,5 @@
-// Tests for core/attribution and bgp/aggregate: the scan-result-to-prefix
-// bridge and CIDR re-aggregation.
-#include "bgp/aggregate.hpp"
+// Tests for core/attribution and bgp::BasicAggregate: the
+// scan-result-to-prefix bridge and CIDR re-aggregation.
 #include "core/attribution.hpp"
 #include "core/selection.hpp"
 
@@ -8,6 +7,7 @@
 
 #include <algorithm>
 
+#include "bgp/reduce.hpp"
 #include "census/population.hpp"
 #include "census/topology.hpp"
 #include "scan/engine.hpp"
@@ -16,6 +16,7 @@ namespace tass {
 namespace {
 
 using net::Prefix;
+using Aggregate = bgp::BasicAggregate<net::Ipv4Family>;
 
 Prefix pfx(const char* text) { return Prefix::parse_or_throw(text); }
 
@@ -105,7 +106,7 @@ TEST(Aggregate, MergesSiblingsAndNesting) {
       pfx("192.168.1.0/24"),                   // siblings -> /23
       pfx("172.16.0.0/12"),
   };
-  const auto merged = bgp::aggregate(input);
+  const auto merged = Aggregate::aggregate(input);
   const std::vector<Prefix> expected = {
       pfx("10.0.0.0/8"), pfx("172.16.0.0/12"), pfx("192.168.0.0/23")};
   EXPECT_EQ(merged, expected);
@@ -114,11 +115,11 @@ TEST(Aggregate, MergesSiblingsAndNesting) {
 TEST(Aggregate, IdempotentAndExact) {
   const std::vector<Prefix> input = {
       pfx("10.0.0.0/24"), pfx("10.0.2.0/24"), pfx("10.0.1.0/24")};
-  const auto once = bgp::aggregate(input);
-  const auto twice = bgp::aggregate(once);
+  const auto once = Aggregate::aggregate(input);
+  const auto twice = Aggregate::aggregate(once);
   EXPECT_EQ(once, twice);
-  EXPECT_EQ(bgp::union_size(input), bgp::union_size(once));
-  EXPECT_EQ(bgp::union_size(once), 768u);
+  EXPECT_EQ(Aggregate::union_size(input), Aggregate::union_size(once));
+  EXPECT_EQ(Aggregate::union_size(once), 768u);
   // 10.0.0.0/24 + 10.0.1.0/24 merge to /23; 10.0.2.0/24 stays.
   ASSERT_EQ(once.size(), 2u);
   EXPECT_EQ(once[0], pfx("10.0.0.0/23"));
@@ -128,7 +129,7 @@ TEST(Aggregate, IdempotentAndExact) {
 TEST(Aggregate, UnionSizeDeduplicates) {
   const std::vector<Prefix> overlapping = {
       pfx("10.0.0.0/8"), pfx("10.0.0.0/16"), pfx("10.0.0.0/8")};
-  EXPECT_EQ(bgp::union_size(overlapping), 1ULL << 24);
+  EXPECT_EQ(Aggregate::union_size(overlapping), 1ULL << 24);
 }
 
 TEST(Aggregate, SelectionCompactionPreservesTheScope) {
@@ -147,9 +148,9 @@ TEST(Aggregate, SelectionCompactionPreservesTheScope) {
   sel.phi = 0.9;
   const auto selection = core::select_by_density(ranking, sel);
 
-  const auto compact = bgp::aggregate(selection.prefixes);
+  const auto compact = Aggregate::aggregate(selection.prefixes);
   EXPECT_LE(compact.size(), selection.prefixes.size());
-  EXPECT_EQ(bgp::union_size(compact), selection.selected_addresses);
+  EXPECT_EQ(Aggregate::union_size(compact), selection.selected_addresses);
   EXPECT_EQ(net::IntervalSet::of_prefixes(compact),
             net::IntervalSet::of_prefixes(selection.prefixes));
 }

@@ -99,44 +99,11 @@ TEST(Integration, EngineScanOverSelectionMatchesAnalyticCounts) {
   for (int month = 0; month < 2; ++month) {
     const census::Snapshot& truth = series.month(month);
     const scan::SnapshotOracle oracle(truth);
-    scan::EngineConfig config;
-    config.order = scan::EngineConfig::Order::kEnumerate;
-    const scan::ScanResult result = scan::ScanEngine(config).run(scope,
-                                                                 oracle);
+    const scan::ScanResult result = scan::ScanEngine().run(scope, oracle);
     EXPECT_EQ(result.stats.responses, strategy.found_hosts(truth))
         << "month " << month;
     EXPECT_EQ(result.stats.probes_sent, strategy.scanned_addresses());
   }
-}
-
-TEST(Integration, PermutedScanFindsTheSameHostsAsEnumeration) {
-  census::TopologyParams topo_params;
-  topo_params.seed = 99;
-  topo_params.l_prefix_count = 60;
-  const auto topo = census::generate_topology(topo_params);
-  census::PopulationParams pop;
-  pop.host_scale = 0.0005;
-  pop.seed = 4;
-  const auto snapshot = census::generate_population(
-      topo, census::protocol_profile(Protocol::kSsh), pop);
-
-  const auto ranking =
-      core::rank_by_density(snapshot, core::PrefixMode::kMore);
-  core::SelectionParams params;
-  params.phi = 0.5;
-  const auto selection = core::select_by_density(ranking, params);
-  const scan::ScanScope scope(selection.prefixes, scan::Blocklist{});
-  const scan::SnapshotOracle oracle(snapshot);
-
-  scan::EngineConfig enumerate;
-  enumerate.order = scan::EngineConfig::Order::kEnumerate;
-  scan::EngineConfig permute;
-  permute.order = scan::EngineConfig::Order::kPermutation;
-  const auto a = scan::ScanEngine(enumerate).run(scope, oracle);
-  const auto b = scan::ScanEngine(permute).run(scope, oracle);
-  EXPECT_EQ(a.responsive, b.responsive);
-  EXPECT_EQ(a.stats.probes_sent, b.stats.probes_sent);
-  EXPECT_EQ(selection.covered_hosts, a.stats.responses);
 }
 
 TEST(Integration, BlocklistShrinksTheScanWithoutFalseNegativesOutside) {
@@ -170,10 +137,9 @@ TEST(Integration, BlocklistShrinksTheScanWithoutFalseNegativesOutside) {
             open.address_count() - blocked_prefix.size());
 
   const scan::SnapshotOracle oracle(snapshot);
-  scan::EngineConfig config;
-  config.order = scan::EngineConfig::Order::kEnumerate;
-  const auto full = scan::ScanEngine(config).run(open, oracle);
-  const auto partial = scan::ScanEngine(config).run(filtered, oracle);
+  const scan::ScanEngine engine;
+  const auto full = engine.run(open, oracle);
+  const auto partial = engine.run(filtered, oracle);
   EXPECT_EQ(full.stats.responses, snapshot.total_hosts());
   EXPECT_EQ(partial.stats.responses,
             snapshot.total_hosts() - counts[blocked_cell]);

@@ -1,5 +1,5 @@
 // Tests for scan/blocklist, scan/scope and scan/engine: exclusion parsing,
-// scope algebra and the simulated scan paths (permutation vs enumeration).
+// scope algebra and the simulated scan walk.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -72,69 +72,36 @@ TEST(ScanScope, SubtractsBlocklistFromWhitelist) {
   EXPECT_FALSE(scope.contains(Ipv4Address::parse_or_throw("11.0.0.1")));
 }
 
-class CountingOracle final : public ProbeOracle {
+// Probe oracle over a sorted address vector.
+class VectorOracle final : public ProbeOracle {
  public:
-  explicit CountingOracle(std::vector<std::uint32_t> responsive)
+  explicit VectorOracle(std::vector<std::uint32_t> responsive)
       : responsive_(std::move(responsive)) {}
-  bool responds(Ipv4Address addr) const override {
-    ++probes_;
-    return std::binary_search(responsive_.begin(), responsive_.end(),
-                              addr.value());
+  void collect_responsive(net::Interval interval,
+                          std::vector<std::uint32_t>& out) const override {
+    out.insert(out.end(),
+               std::lower_bound(responsive_.begin(), responsive_.end(),
+                                interval.first.value()),
+               std::upper_bound(responsive_.begin(), responsive_.end(),
+                                interval.last.value()));
   }
-  mutable std::uint64_t probes_ = 0;
 
  private:
   std::vector<std::uint32_t> responsive_;
 };
 
-TEST(ScanEngine, PermutationAndEnumerationAgree) {
-  const std::vector<Prefix> whitelist = {
-      Prefix::parse_or_throw("100.64.8.0/22"),
-      Prefix::parse_or_throw("100.96.0.0/24")};
-  const ScanScope scope(whitelist, Blocklist{});
-
-  std::vector<std::uint32_t> responsive;
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    // Offsets stay below the /22's 1024 addresses so every host is in
-    // scope.
-    responsive.push_back(
-        Prefix::parse_or_throw("100.64.8.0/22").network().value() + i * 25);
-  }
-  std::sort(responsive.begin(), responsive.end());
-  const CountingOracle oracle(responsive);
-
-  EngineConfig permute;
-  permute.order = EngineConfig::Order::kPermutation;
-  EngineConfig enumerate;
-  enumerate.order = EngineConfig::Order::kEnumerate;
-
-  const ScanResult a = ScanEngine(permute).run(scope, oracle);
-  const ScanResult b = ScanEngine(enumerate).run(scope, oracle);
-
-  EXPECT_EQ(a.stats.probes_sent, scope.address_count());
-  EXPECT_EQ(b.stats.probes_sent, scope.address_count());
-  EXPECT_EQ(a.stats.responses, 40u);
-  EXPECT_EQ(a.responsive, b.responsive);
-  EXPECT_EQ(a.responsive, responsive);
-}
-
-TEST(ScanEngine, HitrateAndPackets) {
+TEST(ScanEngine, Hitrate) {
   const std::vector<Prefix> whitelist = {
       Prefix::parse_or_throw("100.64.0.0/24")};
   const ScanScope scope(whitelist, Blocklist{});
   std::vector<std::uint32_t> responsive = {
       Prefix::parse_or_throw("100.64.0.0/24").network().value() + 3};
-  const CountingOracle oracle(responsive);
+  const VectorOracle oracle(responsive);
 
-  EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
-  config.cost.handshake_packets_per_hit = 10.0;
-  const ScanResult result = ScanEngine(config).run(scope, oracle);
+  const ScanResult result = ScanEngine().run(scope, oracle);
   EXPECT_EQ(result.stats.probes_sent, 256u);
   EXPECT_EQ(result.stats.responses, 1u);
   EXPECT_DOUBLE_EQ(result.stats.hitrate(), 1.0 / 256.0);
-  EXPECT_DOUBLE_EQ(result.stats.packets, 256.0 + 10.0);
-  EXPECT_DOUBLE_EQ(result.stats.duration_seconds(128.0), 2.0);
 }
 
 TEST(ScanEngine, SnapshotOracleFindsExactlyTheGroundTruth) {
@@ -157,51 +124,32 @@ TEST(ScanEngine, SnapshotOracleFindsExactlyTheGroundTruth) {
 
   const ScanScope scope(std::vector<net::Prefix>{target}, Blocklist{});
   const SnapshotOracle oracle(snapshot);
-  EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
-  const ScanResult result = ScanEngine(config).run(scope, oracle);
+  const ScanResult result = ScanEngine().run(scope, oracle);
   EXPECT_EQ(result.stats.responses, counts[cell]);
   for (const std::uint32_t addr : result.responsive) {
     EXPECT_TRUE(snapshot.contains(Ipv4Address(addr)));
   }
 }
 
-TEST(ScanEngine, AutoModePicksByScopeSize) {
-  // Below the threshold kAuto permutes; above it enumerates. Both yield
-  // identical results, so we verify via probe ordering: enumeration emits
-  // ascending addresses, permutation does not (overwhelmingly likely).
-  class OrderRecorder final : public ProbeOracle {
+TEST(ScanEngine, EnumeratedResultsAreSortNormalized) {
+  // `responsive` is ascending even when an oracle hands an interval's
+  // hits back out of order, sequential or sharded.
+  class ReversingOracle final : public ProbeOracle {
    public:
-    bool responds(Ipv4Address addr) const override {
-      ordered_ = ordered_ && (probes_.empty() || probes_.back() <= addr.value());
-      probes_.push_back(addr.value());
-      return false;
+    explicit ReversingOracle(const census::Snapshot& snapshot)
+        : inner_(snapshot) {}
+    void collect_responsive(net::Interval interval,
+                            std::vector<std::uint32_t>& out) const override {
+      const std::size_t before = out.size();
+      inner_.collect_responsive(interval, out);
+      std::reverse(out.begin() + static_cast<std::ptrdiff_t>(before),
+                   out.end());
     }
-    mutable std::vector<std::uint32_t> probes_;
-    mutable bool ordered_ = true;
+
+   private:
+    SnapshotOracle inner_;
   };
 
-  const ScanScope small_scope(
-      std::vector<Prefix>{Prefix::parse_or_throw("100.64.0.0/22")},
-      Blocklist{});
-  EngineConfig config;
-  config.order = EngineConfig::Order::kAuto;
-  config.permutation_threshold = 1 << 8;  // 256: the /22 exceeds it
-
-  const OrderRecorder above;
-  ScanEngine(config).run(small_scope, above);
-  EXPECT_TRUE(above.ordered_);  // enumerated in address order
-
-  config.permutation_threshold = 1 << 20;  // now the /22 is below
-  const OrderRecorder below;
-  ScanEngine(config).run(small_scope, below);
-  EXPECT_FALSE(below.ordered_);  // permuted
-  EXPECT_EQ(below.probes_.size(), small_scope.address_count());
-}
-
-TEST(ScanEngine, EnumeratedResultsAreSortNormalized) {
-  // The enumerate and permutation paths must be interchangeable: both
-  // emit `responsive` in ascending order whatever the probe order was.
   census::TopologyParams topo_params;
   topo_params.seed = 12;
   topo_params.l_prefix_count = 70;
@@ -219,21 +167,27 @@ TEST(ScanEngine, EnumeratedResultsAreSortNormalized) {
     some_cells.push_back(topology->m_partition.prefix(cell));
   }
   const ScanScope scope(some_cells, Blocklist{});
-  const SnapshotOracle oracle(snapshot);
+  const ScanResult want = ScanEngine().run(scope, SnapshotOracle(snapshot));
+  EXPECT_TRUE(std::is_sorted(want.responsive.begin(), want.responsive.end()));
 
-  EngineConfig enumerate;
-  enumerate.order = EngineConfig::Order::kEnumerate;
-  EngineConfig permute;
-  permute.order = EngineConfig::Order::kPermutation;
-  const ScanResult a = ScanEngine(enumerate).run(scope, oracle);
-  const ScanResult b = ScanEngine(permute).run(scope, oracle);
-  EXPECT_TRUE(std::is_sorted(a.responsive.begin(), a.responsive.end()));
-  EXPECT_TRUE(std::is_sorted(b.responsive.begin(), b.responsive.end()));
-  EXPECT_EQ(a.responsive, b.responsive);
+  const ReversingOracle reversing(snapshot);
+  std::vector<std::uint32_t> raw;
+  for (const net::Interval& interval : scope.targets().intervals()) {
+    reversing.collect_responsive(interval, raw);
+  }
+  ASSERT_FALSE(std::is_sorted(raw.begin(), raw.end()));
+  EngineConfig config;
+  config.min_addresses_per_shard = 1 << 10;
+  for (const unsigned threads : {1u, 2u}) {
+    config.threads = threads;
+    EXPECT_EQ(ScanEngine(config).run(scope, reversing).responsive,
+              want.responsive)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ScanEngine, ResultsAreBitIdenticalAcrossThreadCounts) {
-  // The sharded enumerate path must reproduce the sequential result
+  // The sharded walk must reproduce the sequential result
   // exactly for any thread count: shard boundaries depend only on the
   // scope, and per-shard slots merge in shard order.
   census::TopologyParams topo_params;
@@ -272,9 +226,8 @@ TEST(ScanEngine, ResultsAreBitIdenticalAcrossThreadCounts) {
   }
 
   EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
   config.min_addresses_per_shard = 1 << 10;  // force many shards
-  for (const unsigned threads : {1u, 2u, 8u}) {
+  for (const unsigned threads : {0u, 1u, 2u, 8u}) {
     config.threads = threads;
     const ScanResult result = ScanEngine(config).run(scope, oracle);
     EXPECT_EQ(result.responsive, reference.responsive)
@@ -284,44 +237,10 @@ TEST(ScanEngine, ResultsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ScanEngine, EstimateMatchesRunStats) {
-  // estimate() is the count-only twin of the enumerate path: identical
-  // probe/hit/packet accounting, no hitlist, any thread count.
-  census::TopologyParams topo_params;
-  topo_params.seed = 31;
-  topo_params.l_prefix_count = 70;
-  const auto topology = census::generate_topology(topo_params);
-  census::PopulationParams pop_params;
-  pop_params.host_scale = 0.001;
-  const census::Snapshot snapshot = census::generate_population(
-      topology, census::protocol_profile(census::Protocol::kHttps),
-      pop_params);
-
-  std::vector<net::Prefix> cells;
-  for (std::uint32_t cell = 0; cell < topology->m_partition.size();
-       cell += 2) {
-    cells.push_back(topology->m_partition.prefix(cell));
-  }
-  const ScanScope scope(cells, Blocklist{});
-  const SnapshotOracle oracle(snapshot);
-
-  EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
-  config.min_addresses_per_shard = 1 << 10;
-  const ScanResult full = ScanEngine(config).run(scope, oracle);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    config.threads = threads;
-    const ScanStats stats = ScanEngine(config).estimate(scope, oracle);
-    EXPECT_EQ(stats.probes_sent, full.stats.probes_sent);
-    EXPECT_EQ(stats.responses, full.stats.responses);
-    EXPECT_DOUBLE_EQ(stats.packets, full.stats.packets);
-  }
-}
-
 TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
-  // The fused scan+attribution path must produce the same responsive list
-  // as run() and the same per-cell counts as a separate core::attribute
-  // pass — for any thread count.
+  // run_attributed must produce the same responsive list as run() and
+  // the same per-cell counts as a separate sequential core::attribute
+  // pass — for any thread count, the shared pool (0) included.
   census::TopologyParams topo_params;
   topo_params.seed = 83;
   topo_params.l_prefix_count = 80;
@@ -342,13 +261,12 @@ TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
   const SnapshotOracle oracle(snapshot);
 
   EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
   config.min_addresses_per_shard = 1 << 10;
   const ScanResult plain = ScanEngine(config).run(scope, oracle);
   const core::Attribution reference =
-      core::attribute(plain.responsive, topology->m_partition);
+      core::attribute(plain.responsive, topology->m_partition, {1});
 
-  for (const unsigned threads : {1u, 2u, 8u}) {
+  for (const unsigned threads : {0u, 1u, 2u, 8u}) {
     config.threads = threads;
     const AttributedScanResult attributed =
         ScanEngine(config).run_attributed(scope, oracle,
@@ -365,20 +283,6 @@ TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
   }
 }
 
-TEST(ScanEngine, DefaultOracleBatchingPreservesPerProbeCounting) {
-  // Oracles that do not override the batched API still see exactly one
-  // responds() call per in-scope address on the enumerate path.
-  const std::vector<Prefix> whitelist = {
-      Prefix::parse_or_throw("100.64.0.0/20")};
-  const ScanScope scope(whitelist, Blocklist{});
-  const CountingOracle oracle({});
-  EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
-  const ScanResult result = ScanEngine(config).run(scope, oracle);
-  EXPECT_EQ(oracle.probes_, scope.address_count());
-  EXPECT_EQ(result.stats.probes_sent, scope.address_count());
-}
-
 TEST(ScanScope, HandlesTopOfAddressSpace) {
   // Regression for inclusive-upper-bound handling: a scope ending at
   // 255.255.255.255 must be containable, countable, and enumerable
@@ -392,10 +296,8 @@ TEST(ScanScope, HandlesTopOfAddressSpace) {
   EXPECT_TRUE(scope.contains(Ipv4Address(0xffffff00u)));
   EXPECT_FALSE(scope.contains(Ipv4Address(0xfffffeffu)));
 
-  const CountingOracle oracle({0xffffff05u, 0xffffffffu});
-  EngineConfig config;
-  config.order = EngineConfig::Order::kEnumerate;
-  const ScanResult result = ScanEngine(config).run(scope, oracle);
+  const VectorOracle oracle({0xffffff05u, 0xffffffffu});
+  const ScanResult result = ScanEngine().run(scope, oracle);
   EXPECT_EQ(result.stats.probes_sent, 256u);
   EXPECT_EQ(result.responsive,
             (std::vector<std::uint32_t>{0xffffff05u, 0xffffffffu}));

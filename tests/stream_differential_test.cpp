@@ -47,29 +47,16 @@ class VectorOracle final : public scan::ProbeOracle {
   explicit VectorOracle(std::vector<std::uint32_t> hosts)
       : hosts_(std::move(hosts)) {}
 
-  bool responds(net::Ipv4Address addr) const override {
-    return std::binary_search(hosts_.begin(), hosts_.end(), addr.value());
-  }
-  std::uint64_t count_responsive(net::Interval interval) const override {
-    return static_cast<std::uint64_t>(range(interval).second -
-                                      range(interval).first);
-  }
   void collect_responsive(net::Interval interval,
                           std::vector<std::uint32_t>& out) const override {
-    const auto [first, last] = range(interval);
-    out.insert(out.end(), first, last);
+    out.insert(out.end(),
+               std::lower_bound(hosts_.begin(), hosts_.end(),
+                                interval.first.value()),
+               std::upper_bound(hosts_.begin(), hosts_.end(),
+                                interval.last.value()));
   }
 
  private:
-  std::pair<std::vector<std::uint32_t>::const_iterator,
-            std::vector<std::uint32_t>::const_iterator>
-  range(net::Interval interval) const {
-    return {std::lower_bound(hosts_.begin(), hosts_.end(),
-                             interval.first.value()),
-            std::upper_bound(hosts_.begin(), hosts_.end(),
-                             interval.last.value())};
-  }
-
   std::vector<std::uint32_t> hosts_;
 };
 
@@ -78,12 +65,7 @@ std::vector<std::uint32_t> attribute_from_scratch(
     const scan::ScanEngine& engine) {
   const scan::ScanScope scope(
       net::IntervalSet::of_prefixes(partition.live_prefixes()));
-  const auto attributed = engine.run_attributed(scope, oracle, partition);
-  std::vector<std::uint32_t> counts(attributed.cell_counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = static_cast<std::uint32_t>(attributed.cell_counts[i]);
-  }
-  return counts;
+  return engine.run_attributed(scope, oracle, partition).cell_counts;
 }
 
 void expect_rankings_bit_identical(const core::DensityRanking& got,

@@ -380,14 +380,7 @@ TEST(StreamReactorTest, MissingFeedFileIsATypedError) {
 
 class RangeOracle final : public scan::ProbeOracle {
  public:
-  bool responds(net::Ipv4Address addr) const override {
-    return addr.value() % 4 == 0;  // deterministic quarter density
-  }
-  std::uint64_t count_responsive(net::Interval interval) const override {
-    const std::uint64_t first = (interval.first.value() + 3ull) / 4;
-    const std::uint64_t last = interval.last.value() / 4;
-    return last >= first ? last - first + 1 : 0;
-  }
+  // Deterministic quarter density: every address divisible by 4.
   void collect_responsive(net::Interval interval,
                           std::vector<std::uint32_t>& out) const override {
     for (std::uint64_t a = interval.first.value();

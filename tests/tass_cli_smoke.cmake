@@ -5,9 +5,10 @@
 #
 # Drives every seed-pipeline verb (rank, plan, reduce, state build,
 # state info) on the checked-in sample tables for both families, checks
-# that out-of-range numeric arguments are reported as `error:` with exit
-# 1 (never a precondition abort), and that unknown verbs fall through to
-# the usage text with exit 2.
+# that out-of-range or malformed numeric arguments are reported as
+# `error:` with exit 1 (never a precondition abort or a silent partial
+# parse), and that unknown verbs fall through to the usage text with
+# exit 2.
 cmake_minimum_required(VERSION 3.20)
 
 foreach(var CLI DATA WORK)
@@ -79,6 +80,23 @@ run(sample_phi_2 1 "error: "
     ARGS sample "${routes_v4}" "${seeds_v4}" --phi 2)
 run(reduce_overshoot_nan 1 "error: "
     ARGS reduce "${WORK}/plan_v4.out" --overshoot nan)
+
+# Numeric arguments parse strictly: a sign, trailing junk or a value
+# past the field's width is an error, never a silent wrap or truncation.
+run(sample_floor_wide 1 "error: "
+    ARGS sample "${routes_v4}" "${seeds_v4}" --floor 4294967297)
+run(sample_budget_negative 1 "error: "
+    ARGS sample "${routes_v4}" "${seeds_v4}" -5)
+run(sample_seed_junk 1 "error: "
+    ARGS sample "${routes_v4}" "${seeds_v4}" --seed 7x)
+run(rank_n_negative 1 "error: "
+    ARGS rank "${routes_v4}" "${seeds_v4}" more -1)
+run(plan_phi_junk 1 "error: "
+    ARGS plan "${routes_v4}" "${seeds_v4}" 0.5junk)
+run(reduce_overshoot_junk 1 "error: "
+    ARGS reduce "${WORK}/plan_v4.out" --overshoot 5x)
+run(reduce_min_prefixes_junk 1 "error: "
+    ARGS reduce "${WORK}/plan_v4.out" --min-prefixes 3.5)
 
 # The v6-only verb spellings (<verb>6) were retired in favour of
 # `--family v6`; they are unknown verbs now: usage text, exit 2.
