@@ -26,12 +26,7 @@
 // also a sampled correctness check.
 //
 // Usage: micro_coldstart [--prefixes N] [--iters K] [--lookups M]
-//                        [--seed S] [--huge 0|1]
-//
-// --huge 1 requests hugepage backing for the timed image loads
-// (util::MapOptions::huge_pages); the JSON reports which backing
-// actually materialised under "page_backing" (hugetlb / thp / base), so
-// cold-start numbers always say what paging configuration produced them.
+//                        [--seed S]
 #include <unistd.h>
 
 #include <algorithm>
@@ -162,7 +157,6 @@ int main(int argc, char** argv) {
   std::size_t lookup_count = 200'000;
   int iters = 5;
   std::uint64_t seed = 2016;
-  util::MapOptions map_options;
   for (int i = 1; i < argc; i += 2) {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for '%s'\n", argv[i]);
@@ -182,13 +176,10 @@ int main(int argc, char** argv) {
       lookup_count = value;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       seed = value;
-    } else if (std::strcmp(argv[i], "--huge") == 0) {
-      map_options.huge_pages = value != 0;
     } else {
       std::fprintf(stderr,
                    "unknown flag '%s'\nusage: micro_coldstart "
-                   "[--prefixes N] [--iters K] [--lookups M] [--seed S] "
-                   "[--huge 0|1]\n",
+                   "[--prefixes N] [--iters K] [--lookups M] [--seed S]\n",
                    argv[i]);
       return 2;
     }
@@ -235,7 +226,6 @@ int main(int argc, char** argv) {
   double build_sum = 0.0, build_min = 1e300;
   double load_sum = 0.0, load_min = 1e300;
   std::size_t image_bytes = 0;
-  util::PageBacking backing = util::PageBacking::kNone;
   for (int iter = 0; iter < iters; ++iter) {
     auto start = std::chrono::steady_clock::now();
     const auto parsed = bgp::load_pfx2as(pfx2as_path, /*strict=*/false);
@@ -258,13 +248,11 @@ int main(int argc, char** argv) {
     build_min = std::min(build_min, build_one);
 
     start = std::chrono::steady_clock::now();
-    const state::StateImage image =
-        state::StateImage::load(image_path, map_options);
+    const state::StateImage image = state::StateImage::load(image_path);
     const double load_one = ms_since(start);
     load_sum += load_one;
     load_min = std::min(load_min, load_one);
     image_bytes = image.info().file_bytes;
-    backing = image.info().backing;
 
     // ---- cross-check (not timed): the loaded view must be
     // bit-identical to the fresh build ------------------------------
@@ -307,22 +295,18 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "# %zu routes -> %zu cells: rebuild %8.3f ms (parse %.3f "
                "+ deaggregate/build %.3f), image load %6.3f ms (%zu "
-               "bytes, %s pages) — speedup %.1fx (%.1fx vs build alone)\n",
+               "bytes) — speedup %.1fx (%.1fx vs build alone)\n",
                records.size(), partition.size(), rebuild_ms, parse_min,
-               build_min, load_min, image_bytes,
-               std::string(util::page_backing_name(backing)).c_str(),
-               speedup, build_speedup);
+               build_min, load_min, image_bytes, speedup, build_speedup);
 
   std::printf(
       "{\"bench\":\"micro_coldstart\",\"prefixes\":%zu,\"routes\":%zu,"
       "\"iters\":%d,\"seed\":%" PRIu64 ",\"image_bytes\":%zu,"
       "\"parse_ms\":%.3f,\"build_ms\":%.3f,\"rebuild_ms\":%.3f,"
       "\"load_ms\":%.3f,\"parse_ms_mean\":%.3f,\"build_ms_mean\":%.3f,"
-      "\"load_ms_mean\":%.3f,\"speedup\":%.2f,\"build_speedup\":%.2f,"
-      "\"page_backing\":\"%s\"}\n",
+      "\"load_ms_mean\":%.3f,\"speedup\":%.2f,\"build_speedup\":%.2f}\n",
       partition.size(), records.size(), iters, seed, image_bytes,
       parse_min, build_min, rebuild_ms, load_min, parse_sum / iters,
-      build_sum / iters, load_sum / iters, speedup, build_speedup,
-      std::string(util::page_backing_name(backing)).c_str());
+      build_sum / iters, load_sum / iters, speedup, build_speedup);
   return 0;
 }

@@ -1,7 +1,6 @@
 // Micro-benchmarks for the substrate hot paths (google-benchmark):
 // longest-prefix match (LpmIndex build, scalar and batched lookup),
-// deaggregation, the ZMap permutation step,
-// interval-set algebra, density ranking and selection, snapshot
+// deaggregation, interval-set algebra, density ranking and selection, snapshot
 // membership and the rank-directory index behind the batched oracle, and
 // the text ingest (hitlist and pfx2as parsing) — the operations every
 // TASS scan cycle is built from.
@@ -25,7 +24,6 @@
 #include "net/interval.hpp"
 #include "net/ipv6.hpp"
 #include "net/prefix.hpp"
-#include "scan/target_iterator.hpp"
 #include "trie/lpm_index.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -131,17 +129,6 @@ void BM_Deaggregate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Deaggregate);
-
-void BM_PermutationNext(benchmark::State& state) {
-  scan::TargetIterator iterator(42);
-  for (auto _ : state) {
-    auto addr = iterator.next();
-    benchmark::DoNotOptimize(addr);
-    if (!addr) state.SkipWithError("permutation exhausted");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PermutationNext);
 
 void BM_IntervalSetInsert(benchmark::State& state) {
   util::Rng rng(4);

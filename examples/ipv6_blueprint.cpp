@@ -14,8 +14,7 @@
 //           -> PrefixPartition6 (flat LPM attribution)
 //           -> rank_by_density (hosts per /64, the v6 rho)
 //           -> select_by_density (the paper's phi stopping rule)
-//           -> ScanScope6 (selection minus blocklist, candidate set,
-//              ZMap-style cyclic-group permutation)
+//           -> ScanScope6 (selection minus blocklist, candidate set)
 //           -> TSIM seal + zero-copy reload (StateImage6)
 //
 // Earlier revisions of this demo hand-rolled attribution and ranking
@@ -139,24 +138,18 @@ int main() {
       static_cast<unsigned long long>(selection.advertised_addresses),
       100.0 * selection.space_coverage());
 
-  // Scan scope: selection minus blocklist, candidates from the hitlist,
-  // probed in ZMap cyclic-group order sized to the candidate set. The
-  // blocked /64 is one of the hitlist's populated subnets, so the
+  // Scan scope: selection minus blocklist, candidates from the hitlist.
+  // The blocked /64 is one of the hitlist's populated subnets, so the
   // filter visibly drops candidates below the hitlist size.
   scan::Blocklist blocklist;
   blocklist.add(net::Ipv6Prefix::parse_or_throw("2001:db8:5000:3::/64"));
   scan::ScanScope6 scope(selection.prefixes, blocklist);
   scope.add_candidates(hitlist);
-  auto permutation = scope.permutation(/*seed=*/7);
-  std::size_t probes = 0;
-  while (scope.next_target(permutation)) ++probes;
   std::printf(
       "scope: %zu of %zu hitlist targets admitted (blocklist + "
-      "selection filtered %zu), full permutation cycle visited %zu "
-      "(group modulus %llu)\n",
+      "selection filtered %zu); a cycle probes %zu candidates\n",
       scope.candidate_count(), hitlist.size(),
-      hitlist.size() - scope.candidate_count(), probes,
-      static_cast<unsigned long long>(permutation.modulus()));
+      hitlist.size() - scope.candidate_count(), scope.candidate_count());
 
   // Seal the derived state into a TSIM image and reload it zero-copy —
   // the same millisecond cold-start path v4 workers use.

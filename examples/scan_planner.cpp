@@ -9,7 +9,8 @@
 // simulated from the census model; with real infrastructure it would be
 // the result of one full ZMap sweep. The plan reports the selected
 // prefixes, per-cycle probe volume, packet estimate and expected duration,
-// and emits the first targets in ZMap permutation order.
+// and dry-runs one cycle against the seed snapshot. phi is in (0, 1]; a
+// bad value, protocol name or prefix mode is an `error:` line and exit 1.
 //
 // Cold-start path: every run that builds the pipeline from a table also
 // seals the derived partition + ranking into ./demo.tsim; pass that
@@ -18,8 +19,10 @@
 // instead of re-deriving it. The census dry-run steps need the full
 // topology and are skipped in image mode.
 #include <cstdio>
+#include <exception>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/tass.hpp"
 #include "report/table.hpp"
 #include "state/image.hpp"
@@ -32,14 +35,13 @@ constexpr double kProbesPerSecond = 100'000;  // a polite ZMap rate
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::string input_path = argc > 1 ? argv[1] : "";
   const census::Protocol protocol =
       argc > 2 ? census::parse_protocol(argv[2]) : census::Protocol::kHttps;
-  const double phi = argc > 3 ? std::stod(argv[3]) : 0.95;
+  const double phi = argc > 3 ? args::parse_phi(argv[3]) : 0.95;
   const core::PrefixMode mode =
-      argc > 4 && std::string(argv[4]) == "less" ? core::PrefixMode::kLess
-                                                 : core::PrefixMode::kMore;
+      argc > 4 ? args::parse_mode(argv[4]) : core::PrefixMode::kMore;
 
   // 0. Fast path: a sealed state image replaces steps 1-3's derivation.
   if (input_path.ends_with(".tsim")) {
@@ -163,24 +165,12 @@ int main(int argc, char** argv) {
            " hours"});
   std::printf("\n%s", table.to_text().c_str());
 
-  // 5. First targets in ZMap permutation order, restricted to the plan
-  //    scope and the default special-use blocklist.
+  // 5. Dry-run the plan: replay one cycle over the plan scope (minus the
+  //    default special-use blocklist) against the seed snapshot through
+  //    the sharded engine (batched index queries, one shard slot per
+  //    scope chunk, process-wide thread pool).
   const scan::ScanScope scope(selection.prefixes,
                               scan::Blocklist::default_blocklist());
-  scan::TargetIterator targets(/*seed=*/42);
-  std::printf("\nfirst targets in permutation order:\n");
-  std::size_t shown = 0;
-  while (shown < 8) {
-    const auto addr = targets.next();
-    if (!addr) break;
-    if (!scope.contains(*addr)) continue;
-    std::printf("  %s\n", addr->to_string().c_str());
-    ++shown;
-  }
-
-  // 6. Dry-run the plan: replay one cycle against the seed snapshot
-  //    through the sharded engine (batched index queries, one shard slot
-  //    per scope chunk, process-wide thread pool).
   scan::EngineConfig engine_config;
   engine_config.threads = 0;  // all hardware threads
   const scan::SnapshotOracle oracle(seed);
@@ -194,4 +184,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(dry_run.responses),
       dry_run.hitrate());
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 1;
 }

@@ -3,17 +3,24 @@
 // a multi-month census series for one protocol.
 //
 // Usage:  ./strategy_compare [protocol] [months]
+//
+// months is in [1, 120]; a bad value is an `error:` line and exit 1.
 #include <cstdio>
+#include <exception>
 #include <string>
 
+#include "cli_args.hpp"
 #include "core/tass.hpp"
 #include "report/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tass;
   const census::Protocol protocol =
       argc > 1 ? census::parse_protocol(argv[1]) : census::Protocol::kCwmp;
-  const int months = argc > 2 ? std::atoi(argv[2]) : 7;
+  const int months =
+      argc > 2 ? static_cast<int>(args::parse_count(argv[2], "months",
+                                                    /*max=*/120, /*min=*/1))
+               : 7;
 
   census::TopologyParams topo_params;
   topo_params.seed = 2016;
@@ -71,4 +78,7 @@ int main(int argc, char** argv) {
                   strategies[2]->scanned_addresses()) /
           static_cast<double>(topology->advertised_addresses));
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 1;
 }

@@ -10,14 +10,15 @@
 //   tass_cli inspect     <file.mrt>
 //   tass_cli state build <routes> <seeds> <out.tsim> [less|more]
 //                        [--family v4|v6]
-//   tass_cli state info  <file.tsim> [--huge]
+//   tass_cli state info  <file.tsim>
 //
 // Every seed-pipeline verb is family-generic: `--family v4` (the
 // default) reads a pfx2as table and a scan-export address list,
 // `--family v6` reads a pfx2as6 table and a hitlist, and both run the
 // same templated driver over the family-generic substrate. Numeric
 // arguments are range-checked here: a bad phi or overshoot is an
-// `error:` line and exit 1, never a library precondition abort.
+// `error:` line and exit 1, never a library precondition abort. An
+// unknown `--flag` is an error too, never a positional argument.
 //
 // `rank` attributes the seed onto the routing table and prints the
 // densest prefixes; `plan` emits the TASS selection (one prefix per line
@@ -49,6 +50,7 @@
 #include "bgp/rib.hpp"
 #include "census/hitlist6.hpp"
 #include "census/snapshot_index.hpp"
+#include "cli_args.hpp"
 #include "core/estimator.hpp"
 #include "core/ranking.hpp"
 #include "core/selection.hpp"
@@ -62,6 +64,9 @@
 namespace {
 
 using namespace tass;
+using args::parse_count;
+using args::parse_mode;
+using args::parse_phi;
 
 int usage() {
   std::fprintf(
@@ -81,37 +86,9 @@ int usage() {
       "  tass_cli inspect     <file.mrt>\n"
       "  tass_cli state build <routes> <seeds> <out.tsim> [less|more] "
       "[--family v4|v6]\n"
-      "  tass_cli state info  <file.tsim> [--huge]\n"
+      "  tass_cli state info  <file.tsim>\n"
       "v4 seeds are a scan-export address list; v6 seeds are a hitlist.\n");
   return 2;
-}
-
-core::PrefixMode parse_mode(const std::string& text) {
-  if (text == "less") return core::PrefixMode::kLess;
-  if (text == "more") return core::PrefixMode::kMore;
-  throw ParseError("prefix mode must be 'less' or 'more', got '" + text +
-                   "'");
-}
-
-// A whole decimal number in [0, max]; `what` names the argument.
-std::uint64_t parse_count(const std::string& text, const char* what,
-                          std::uint64_t max = ~std::uint64_t{0}) {
-  const auto value = util::parse_u64(text);
-  if (!value || *value > max) {
-    std::string message = std::string(what) + " must be an integer >= 0";
-    if (max != ~std::uint64_t{0}) message += " and <= " + std::to_string(max);
-    throw ParseError(message + ", got '" + text + "'");
-  }
-  return *value;
-}
-
-// The coverage target phi is a fraction in (0, 1].
-double parse_phi(const std::string& text) {
-  const double phi = util::parse_double(text).value_or(0.0);
-  if (!(phi > 0.0 && phi <= 1.0)) {
-    throw ParseError("phi must be in (0, 1], got '" + text + "'");
-  }
-  return phi;
 }
 
 // The reduce overshoot cap is a finite, non-negative percentage.
@@ -125,12 +102,11 @@ double parse_overshoot(const std::string& text) {
 }
 
 // Command-line shape shared by the family-generic verbs: positional
-// arguments with the option flags (--family/--floor/--seed/--phi/--huge)
-// already extracted.
+// arguments with the option flags (--family/--floor/--seed/--phi/
+// --overshoot/--min-prefixes) already extracted.
 struct Cli {
   std::vector<std::string> args;  // positionals after the verb
   bool v6 = false;
-  bool huge_pages = false;
   std::uint32_t floor = 16;
   std::uint64_t seed = 1;
   double phi = 1.0;
@@ -164,8 +140,8 @@ Cli parse_cli(int argc, char** argv, int first) {
       cli.overshoot_pct = parse_overshoot(value());
     } else if (arg == "--min-prefixes") {
       cli.min_prefixes = parse_count(value(), "--min-prefixes");
-    } else if (arg == "--huge") {
-      cli.huge_pages = true;
+    } else if (arg.starts_with("--")) {
+      throw ParseError("unknown option '" + std::string(arg) + "'");
     } else {
       cli.args.emplace_back(arg);
     }
@@ -547,27 +523,20 @@ void print_state_info(const state::ImageInfo& info) {
   out.add_row({"file bytes",
                report::Table::cell(
                    static_cast<std::uint64_t>(info.file_bytes))});
-  out.add_row({"page backing",
-               std::string(util::page_backing_name(info.backing))});
   std::printf("%s", out.to_text().c_str());
   std::fprintf(stderr, "image OK (checksum, bounds and deep audit)\n");
 }
 
 int cmd_state_info(const Cli& cli) {
   if (cli.args.size() < 2) return usage();
-  // Optional --huge: request hugepage backing for the serving mmap; the
-  // "page backing" row then reports whether the request materialised
-  // (hugetlb/thp) or fell back to base pages.
-  util::MapOptions map_options;
-  map_options.huge_pages = cli.huge_pages;
   // Family dispatch by magic: either family's image prints through the
   // same table, with its family named.
   if (state::image_family_of_file(cli.args[1]) == net::AddressFamily::kIpv6) {
-    const auto image = state::StateImage6::load(cli.args[1], map_options);
+    const auto image = state::StateImage6::load(cli.args[1]);
     image.verify();  // deep audit beyond the load-time integrity checks
     print_state_info(image.info());
   } else {
-    const auto image = state::StateImage::load(cli.args[1], map_options);
+    const auto image = state::StateImage::load(cli.args[1]);
     image.verify();
     print_state_info(image.info());
   }

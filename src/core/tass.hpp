@@ -49,5 +49,4 @@
 #include "scan/engine.hpp"
 #include "scan/ratelimit.hpp"
 #include "scan/scope.hpp"
-#include "scan/target_iterator.hpp"
 #include "util/thread_pool.hpp"

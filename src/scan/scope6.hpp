@@ -9,12 +9,6 @@
 // LpmIndex6 instances (whitelist and blocklist), so contains() stays a
 // handful of dependent loads; the candidate list is the enumeration
 // view.
-//
-// Probe ordering reuses the ZMap cyclic-group machinery: permutation()
-// sizes the multiplicative group to the candidate count (exactly how
-// scoped v4 scans size it to the scope), so a cycle visits every
-// candidate exactly once in a network-spreading pseudo-random order and
-// sharding (TargetIterator::shard) splits one cycle across probes.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +18,6 @@
 #include "bgp/reduce.hpp"
 #include "net/ipv6.hpp"
 #include "scan/blocklist.hpp"
-#include "scan/target_iterator.hpp"
 #include "trie/lpm_index6.hpp"
 
 namespace tass::scan {
@@ -66,43 +59,12 @@ class ScanScope6 {
     return candidates_;
   }
   std::size_t candidate_count() const noexcept { return candidates_.size(); }
-  net::Ipv6Address candidate(std::size_t index) const noexcept {
-    TASS_EXPECTS(index < candidates_.size());
-    return candidates_[index];
-  }
 
   /// The selected prefixes (as given; not deduplicated).
   std::span<const net::Ipv6Prefix> prefixes() const noexcept {
     return prefixes_;
   }
   bool empty() const noexcept { return prefixes_.empty(); }
-
-  /// A full-cycle permutation of the candidate set: the cyclic
-  /// multiplicative group sized to candidate_count(), ZMap-style.
-  /// Precondition: candidate_count() >= 1. Iterate next_value() and map
-  /// through candidate() — see next_target() for the fused form.
-  TargetIterator permutation(std::uint64_t seed) const {
-    TASS_EXPECTS(!candidates_.empty());
-    return TargetIterator(seed, candidates_.size());
-  }
-
-  /// One shard of the permutation (TargetIterator::shard semantics):
-  /// shards are disjoint and jointly cover every candidate exactly once.
-  TargetIterator permutation_shard(std::uint64_t seed,
-                                   std::uint32_t shard_index,
-                                   std::uint32_t shard_count) const {
-    TASS_EXPECTS(!candidates_.empty());
-    return TargetIterator::shard(seed, shard_index, shard_count,
-                                 candidates_.size());
-  }
-
-  /// Draws the next candidate address from a permutation created by
-  /// permutation()/permutation_shard().
-  std::optional<net::Ipv6Address> next_target(TargetIterator& it) const {
-    const auto value = it.next_value();
-    if (!value) return std::nullopt;
-    return candidate(static_cast<std::size_t>(*value));
-  }
 
  private:
   std::vector<net::Ipv6Prefix> prefixes_;

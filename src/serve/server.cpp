@@ -43,6 +43,15 @@ std::uint64_t elapsed_us(Clock::time_point since) {
           .count());
 }
 
+// Maps an image and runs the deep audit: a generation serves only after
+// StateImage::verify() passes. Either failure throws.
+template <class Image>
+Image load_audited(const std::string& path) {
+  Image image = Image::load(path);
+  image.verify();
+  return image;
+}
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw Error("serve: " + what + ": " + std::strerror(errno));
 }
@@ -169,16 +178,16 @@ Server::Server(ServerOptions options)
     throw Error("serve: at least one of v4/v6 image paths is required");
   }
 
-  // Load the initial generation(s) synchronously so the server never
-  // answers from an empty store for a configured family.
+  // Load and audit the initial generation(s) synchronously so the
+  // server never answers from an empty store for a configured family.
   if (!options_.v4_image_path.empty()) {
-    store4_.retire(
-        store4_.install(state::StateImage::load(options_.v4_image_path)));
+    store4_.retire(store4_.install(
+        load_audited<state::StateImage>(options_.v4_image_path)));
     v4_path_ = options_.v4_image_path;
   }
   if (!options_.v6_image_path.empty()) {
-    store6_.retire(
-        store6_.install(state::StateImage6::load(options_.v6_image_path)));
+    store6_.retire(store6_.install(
+        load_audited<state::StateImage6>(options_.v6_image_path)));
     v6_path_ = options_.v6_image_path;
   }
 
@@ -740,8 +749,7 @@ void Server::perform_reload(const ReloadJob& job) {
   const auto t0 = Clock::now();
   typename GenerationStore<Image>::Generation const* old = nullptr;
   try {
-    Image fresh = Image::load(path);
-    old = store<Family>().install(std::move(fresh));
+    old = store<Family>().install(load_audited<Image>(path));
   } catch (const std::exception& e) {
     reload_failures_.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr, "tass_serve: reload of %s failed: %s\n",

@@ -26,19 +26,19 @@
 //     queue use mutexes, but those are control-plane only.
 //   * Reloads are RCU generation swaps: request_reload() (wire kReload,
 //     or SIGHUP in the tass_serve binary) enqueues to a dedicated
-//     reloader thread, which loads + validates the new image off the
-//     query path, installs it with one atomic exchange, and retires the
-//     displaced generation only after the last in-flight batch that
-//     acquired it has drained. Queries never wait; a batch is answered
-//     entirely by the one generation it pinned, and every response
-//     carries that generation's sequence number and topology
-//     fingerprint.
+//     reloader thread, which loads + deep-audits (StateImage::verify)
+//     the new image off the query path, installs it with one atomic
+//     exchange, and retires the displaced generation only after the
+//     last in-flight batch that acquired it has drained. Queries never
+//     wait; a batch is answered entirely by the one generation it
+//     pinned, and every response carries that generation's sequence
+//     number and topology fingerprint.
 //
-// Lifecycle: the constructor binds/listens and loads the initial
-// image(s) synchronously, so port() is valid and clients may connect
-// (backlogged) before run() starts. run() serves until stop() and is
-// typically called on a dedicated thread; join that thread before
-// destroying the server.
+// Lifecycle: the constructor binds/listens and loads and audits the
+// initial image(s) synchronously, so port() is valid and clients may
+// connect (backlogged) before run() starts. run() serves until stop()
+// and is typically called on a dedicated thread; join that thread
+// before destroying the server.
 #pragma once
 
 #include <atomic>
@@ -79,7 +79,7 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Binds + listens and loads the configured images (throws
+  /// Binds + listens and loads and audits the configured images (throws
   /// tass::Error / tass::FormatError on socket or image failure).
   explicit Server(ServerOptions options);
   ~Server();
@@ -105,8 +105,9 @@ class Server {
   /// or from the family's current path when nullopt (the SIGHUP
   /// semantics). Returns the reload ticket. The swap is asynchronous;
   /// observe completion via stats().swaps or a changed response
-  /// fingerprint. A failed load (missing/corrupt file, wrong family)
-  /// keeps the current generation serving and counts a failure.
+  /// fingerprint. A failed load or audit (missing/corrupt file, wrong
+  /// family, an image verify() rejects) keeps the current generation
+  /// serving and counts a failure.
   std::uint64_t request_reload(net::AddressFamily family,
                                std::optional<std::string> path = {});
 

@@ -782,14 +782,7 @@ BasicStateImage<Family> BasicStateImage<Family>::attach(
 template <class Family>
 BasicStateImage<Family> BasicStateImage<Family>::load(
     const std::string& path, std::uint64_t expected_fingerprint) {
-  return load(path, util::MapOptions{}, expected_fingerprint);
-}
-
-template <class Family>
-BasicStateImage<Family> BasicStateImage<Family>::load(
-    const std::string& path, const util::MapOptions& map_options,
-    std::uint64_t expected_fingerprint) {
-  util::MmapFile file = util::MmapFile::open(path, map_options);
+  util::MmapFile file = util::MmapFile::open(path);
   BasicStateImage image = attach(file.bytes(), expected_fingerprint);
   image.info_.backing = file.backing();
   image.file_ = std::move(file);

@@ -122,11 +122,8 @@ struct ImageInfo {
   std::size_t lpm_nodes = 0;
   std::size_t lpm_leaves = 0;
   std::size_t file_bytes = 0;
-  /// What physically backs the mapping serving this image: kBase for
-  /// the zero-copy default, kTransparentHuge/kHugeTlb when a hugepage
-  /// load request materialised, kNone for attach() (caller-owned
-  /// buffer). `state info` and micro_coldstart surface this so every
-  /// reported number says which paging configuration produced it.
+  /// What backs the mapping serving this image: kBase for load(),
+  /// kNone for attach() (caller-owned buffer).
   util::PageBacking backing = util::PageBacking::kNone;
 };
 
@@ -176,14 +173,6 @@ class BasicStateImage {
   /// If `expected_fingerprint` is non-zero the image must additionally
   /// be bound to that topology fingerprint.
   static BasicStateImage load(const std::string& path,
-                              std::uint64_t expected_fingerprint = 0);
-
-  /// As load(), with explicit mapping options — MapOptions::huge_pages
-  /// requests (copy-based) hugepage backing for the serving arrays,
-  /// falling back to the plain shared mapping when unavailable;
-  /// info().backing reports what materialised.
-  static BasicStateImage load(const std::string& path,
-                              const util::MapOptions& map_options,
                               std::uint64_t expected_fingerprint = 0);
 
   /// Validates and attaches to an image already in memory (zero-copy;

@@ -19,62 +19,6 @@ namespace {
   throw Error(what + " " + path + ": " + std::strerror(errno));
 }
 
-// Attempts the copy-based hugepage mapping: an anonymous buffer on
-// explicit 2 MiB pages (MAP_HUGETLB) or, failing that, a THP-advised
-// anonymous buffer; the file is read into it once and the buffer is
-// sealed read-only. Returns false — leaving `file` untouched — when no
-// hugepage flavour can be obtained or the copy cannot complete, so the
-// caller falls back to the plain shared mapping.
-bool map_hugepage_copy(int fd, std::size_t size, void*& data_out,
-                       std::size_t& map_size_out,
-                       PageBacking& backing_out) {
-  constexpr std::size_t kHugeSize = std::size_t{2} << 20;  // 2 MiB
-  const std::size_t rounded = (size + kHugeSize - 1) & ~(kHugeSize - 1);
-  void* data = MAP_FAILED;
-  PageBacking backing = PageBacking::kNone;
-#ifdef MAP_HUGETLB
-  data = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-  if (data != MAP_FAILED) backing = PageBacking::kHugeTlb;
-#endif
-#ifdef MADV_HUGEPAGE
-  if (data == MAP_FAILED) {
-    data = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (data != MAP_FAILED) {
-      if (::madvise(data, rounded, MADV_HUGEPAGE) != 0) {
-        ::munmap(data, rounded);
-        return false;  // THP disabled system-wide; not worth the copy
-      }
-      backing = PageBacking::kTransparentHuge;
-    }
-  }
-#endif
-  if (data == MAP_FAILED) return false;
-
-  // Fill the buffer from the file. A short read (racing truncation,
-  // I/O error) abandons the hugepage path; the plain mapping will then
-  // surface whatever state the file is really in.
-  std::size_t done = 0;
-  auto* dst = static_cast<char*>(data);
-  while (done < size) {
-    const ::ssize_t got =
-        ::pread(fd, dst + done, size - done, static_cast<::off_t>(done));
-    if (got <= 0) {
-      ::munmap(data, rounded);
-      return false;
-    }
-    done += static_cast<std::size_t>(got);
-  }
-  // Seal: from here the buffer behaves like the PROT_READ file mapping
-  // — a stray write is a fault, never silent corruption.
-  ::mprotect(data, rounded, PROT_READ);
-  data_out = data;
-  map_size_out = rounded;
-  backing_out = backing;
-  return true;
-}
-
 }  // namespace
 
 std::string_view page_backing_name(PageBacking backing) noexcept {
@@ -83,15 +27,11 @@ std::string_view page_backing_name(PageBacking backing) noexcept {
       return "none";
     case PageBacking::kBase:
       return "base";
-    case PageBacking::kTransparentHuge:
-      return "thp";
-    case PageBacking::kHugeTlb:
-      return "hugetlb";
   }
   return "unknown";
 }
 
-MmapFile MmapFile::open(const std::string& path, const MapOptions& options) {
+MmapFile MmapFile::open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) fail("cannot open", path);
 
@@ -107,12 +47,6 @@ MmapFile MmapFile::open(const std::string& path, const MapOptions& options) {
   file.path_ = path;
   file.size_ = static_cast<std::size_t>(st.st_size);
   if (file.size_ > 0) {
-    if (options.huge_pages &&
-        map_hugepage_copy(fd, file.size_, file.data_, file.map_size_,
-                          file.backing_)) {
-      ::close(fd);
-      return file;
-    }
     // MAP_SHARED so every process mapping this image shares one set of
     // physical pages; PROT_READ makes the view tamper-evident.
     // MAP_POPULATE pre-faults the page tables in one kernel pass — the
@@ -130,7 +64,6 @@ MmapFile MmapFile::open(const std::string& path, const MapOptions& options) {
       fail("cannot mmap", path);
     }
     file.data_ = data;
-    file.map_size_ = file.size_;
     file.backing_ = PageBacking::kBase;
   }
   ::close(fd);  // the mapping keeps its own reference to the file
@@ -138,22 +71,20 @@ MmapFile MmapFile::open(const std::string& path, const MapOptions& options) {
 }
 
 MmapFile::~MmapFile() {
-  if (data_ != nullptr) ::munmap(data_, map_size_);
+  if (data_ != nullptr) ::munmap(data_, size_);
 }
 
 MmapFile::MmapFile(MmapFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      map_size_(std::exchange(other.map_size_, 0)),
       backing_(std::exchange(other.backing_, PageBacking::kNone)),
       path_(std::move(other.path_)) {}
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this != &other) {
-    if (data_ != nullptr) ::munmap(data_, map_size_);
+    if (data_ != nullptr) ::munmap(data_, size_);
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    map_size_ = std::exchange(other.map_size_, 0);
     backing_ = std::exchange(other.backing_, PageBacking::kNone);
     path_ = std::move(other.path_);
   }

@@ -1,4 +1,4 @@
-// Read-only memory mappings (RAII), with opt-in hugepage backing.
+// Read-only memory mappings (RAII).
 //
 // The state-image loader (state/image.hpp) maps a file instead of
 // reading it so that N worker processes attached to the same image share
@@ -8,17 +8,6 @@
 // validation pass actually reads. MAP_SHARED + PROT_READ also means a
 // stray write is a segfault in the offending process, never silent
 // corruption of a sibling's view.
-//
-// Hugepage mode (MapOptions::huge_pages) trades that sharing for TLB
-// locality: MAP_HUGETLB cannot back a regular file, so the contents are
-// copied once into an anonymous hugepage mapping (explicit 2 MiB pages
-// when the pool has them, transparent huge pages via MADV_HUGEPAGE
-// otherwise) and then sealed read-only. A hot LPM serving loop walks
-// hundreds of megabytes with random access; 2 MiB pages cut its dTLB
-// miss rate by ~512x. When neither hugepage flavour is available the
-// open degrades silently to the plain shared file mapping — backing()
-// reports which mode actually materialised so `state info` and the
-// cold-start bench can record it.
 #pragma once
 
 #include <cstddef>
@@ -30,29 +19,14 @@
 namespace tass::util {
 
 /// What physically backs a mapping. kNone: empty file, no mapping.
-/// kBase: plain base-page file mapping (the zero-copy default).
-/// kTransparentHuge: anonymous copy advised MADV_HUGEPAGE (the kernel
-/// assembles 2 MiB pages opportunistically). kHugeTlb: anonymous copy
-/// on explicitly reserved MAP_HUGETLB pages.
+/// kBase: plain base-page file mapping.
 enum class PageBacking : std::uint8_t {
   kNone,
   kBase,
-  kTransparentHuge,
-  kHugeTlb,
 };
 
-/// Stable lowercase token for logs and bench JSON ("none", "base",
-/// "thp", "hugetlb").
+/// Stable lowercase token for logs and bench JSON ("none", "base").
 std::string_view page_backing_name(PageBacking backing) noexcept;
-
-/// Knobs for MmapFile::open. Default-constructed == the historical
-/// zero-copy behaviour.
-struct MapOptions {
-  /// Request hugepage backing (copy-based; see the header comment for
-  /// the trade-off). Falls back to the plain shared mapping when no
-  /// hugepage flavour is available — never an error.
-  bool huge_pages = false;
-};
 
 /// A read-only, whole-file memory mapping. Move-only; unmaps on
 /// destruction. The mapping address is stable for the object's lifetime
@@ -63,8 +37,7 @@ class MmapFile {
   /// Maps `path` read-only. Throws tass::Error if the file cannot be
   /// opened, stat'ed, or mapped. An empty file yields an empty bytes()
   /// span and no mapping.
-  static MmapFile open(const std::string& path, const MapOptions& options);
-  static MmapFile open(const std::string& path) { return open(path, {}); }
+  static MmapFile open(const std::string& path);
 
   MmapFile() = default;
   ~MmapFile();
@@ -81,14 +54,12 @@ class MmapFile {
   bool empty() const noexcept { return size_ == 0; }
   const std::string& path() const noexcept { return path_; }
 
-  /// What actually backs this mapping — callers that requested
-  /// huge_pages check this to learn whether the request materialised.
+  /// What backs this mapping: kBase, or kNone for an empty file.
   PageBacking backing() const noexcept { return backing_; }
 
  private:
   void* data_ = nullptr;
-  std::size_t size_ = 0;      // file bytes (what bytes() exposes)
-  std::size_t map_size_ = 0;  // mapped bytes (hugepage-rounded >= size_)
+  std::size_t size_ = 0;
   PageBacking backing_ = PageBacking::kNone;
   std::string path_;
 };

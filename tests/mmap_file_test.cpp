@@ -1,9 +1,5 @@
-// Unit tests for util::MmapFile, focused on the hugepage request path:
-// whatever backing materialises (hugetlb pool, THP advice, or the plain
-// base-page fallback), the mapped bytes must equal the file bytes and
-// backing() must name what actually happened. The fallback chain is the
-// contract — requesting huge pages on a host with no hugepage support of
-// any kind must still yield a working mapping, never an error.
+// Unit tests for util::MmapFile: the mapped bytes equal the file bytes,
+// backing() names what backs the mapping, and moves keep the address.
 #include "util/mmap_file.hpp"
 
 #include <gtest/gtest.h>
@@ -51,46 +47,18 @@ TEST(MmapFile, DefaultOpenIsBasePageBacked) {
   std::remove(path.c_str());
 }
 
-TEST(MmapFile, HugePageRequestFallsBackButNeverFails) {
-  // Sub-hugepage and multi-megabyte sizes, including one that is not a
-  // multiple of any page size: the copy must round the mapping up but
-  // expose exactly the file's bytes.
-  for (const std::size_t size :
-       {std::size_t{4097}, std::size_t{(3u << 20) + 5u}}) {
-    const auto bytes = patterned(size);
-    const std::string path = write_temp("mmap_huge.bin", bytes);
-    MapOptions options;
-    options.huge_pages = true;
-    const MmapFile map = MmapFile::open(path, options);
-    expect_matches(map, bytes);
-    // Which flavour materialises depends on the host (hugetlb pool size,
-    // THP mode); the contract is only that the open succeeds and reports
-    // a real backing, never kNone.
-    EXPECT_NE(map.backing(), PageBacking::kNone)
-        << page_backing_name(map.backing());
-    std::remove(path.c_str());
-  }
-}
-
 TEST(MmapFile, EmptyFileMapsToEmptySpan) {
   const std::string path = write_temp("mmap_empty.bin", {});
-  for (const bool huge : {false, true}) {
-    MapOptions options;
-    options.huge_pages = huge;
-    const MmapFile map = MmapFile::open(path, options);
-    EXPECT_TRUE(map.empty());
-    EXPECT_EQ(map.size(), 0u);
-    EXPECT_EQ(map.backing(), PageBacking::kNone);
-  }
+  const MmapFile map = MmapFile::open(path);
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.backing(), PageBacking::kNone);
   std::remove(path.c_str());
 }
 
 TEST(MmapFile, MissingFileThrows) {
   const std::string path = ::testing::TempDir() + "mmap_does_not_exist.bin";
   EXPECT_THROW(MmapFile::open(path), Error);
-  MapOptions options;
-  options.huge_pages = true;
-  EXPECT_THROW(MmapFile::open(path, options), Error);
 }
 
 TEST(MmapFile, MoveTransfersMappingWithoutRemap) {
@@ -108,8 +76,6 @@ TEST(MmapFile, MoveTransfersMappingWithoutRemap) {
 TEST(MmapFile, PageBackingNames) {
   EXPECT_EQ(page_backing_name(PageBacking::kNone), "none");
   EXPECT_EQ(page_backing_name(PageBacking::kBase), "base");
-  EXPECT_EQ(page_backing_name(PageBacking::kTransparentHuge), "thp");
-  EXPECT_EQ(page_backing_name(PageBacking::kHugeTlb), "hugetlb");
 }
 
 }  // namespace

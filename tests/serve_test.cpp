@@ -10,10 +10,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -29,7 +31,9 @@
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "state/image.hpp"
+#include "util/endian.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace tass::serve {
 namespace {
@@ -561,6 +565,73 @@ TEST(ServeDaemon, ReloadSwapsTheServedGeneration) {
 
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+// A structurally valid image whose ranking is out of order: two ranked
+// rows swapped and the checksum resealed, so load() (header, checksum,
+// bounds) accepts it and only the deep audit rejects it.
+std::string make_misranked_v4_image(const std::string& stem) {
+  const std::string path = make_v4_image(stem, 24, 23);
+  std::vector<std::byte> bytes = [&] {
+    const auto image = state::StateImage::load(path);
+    return state::encode_image(image.partition(),
+                               image.ranking().materialize());
+  }();
+  const auto u64_at = [&](std::size_t offset) {
+    return static_cast<std::size_t>(util::load_le64(
+        std::span<const std::byte, 8>(bytes.data() + offset, 8)));
+  };
+  const std::size_t ranked_row = state::kSectionTableOffset + 7 * 24;
+  const std::size_t row_bytes = sizeof(core::RankedPrefix);
+  EXPECT_GE(u64_at(ranked_row + 8), 2u);  // at least two ranked rows
+  std::byte* first = bytes.data() + u64_at(ranked_row + 16);
+  std::swap_ranges(first, first + row_bytes, first + row_bytes);
+  util::store_le64(
+      util::fnv1a64_wide(
+          std::span<const std::byte>(bytes).subspan(state::kChecksummedFrom)),
+      std::span<std::byte, 8>(bytes.data() + state::kChecksumOffset, 8));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+TEST(ServeDaemon, ReloadRefusesAnImageThatFailsTheDeepAudit) {
+  const std::string good = make_v4_image("serve_test_audit_good", 16, 21);
+  const std::string bad = make_misranked_v4_image("serve_test_audit_bad");
+  const std::uint64_t fp_good =
+      state::StateImage::load(good).info().fingerprint;
+  // The tampered image passes every load-time check; verify() throws.
+  const auto tampered = state::StateImage::load(bad);
+  EXPECT_THROW(tampered.verify(), FormatError);
+
+  ServerOptions options;
+  options.v4_image_path = good;
+  options.threads = 2;
+  RunningServer running(std::move(options));
+  Client client("127.0.0.1", running.server.port());
+  const auto [before, info_before] = client.info(net::AddressFamily::kIpv4);
+  EXPECT_EQ(before.fingerprint, fp_good);
+
+  client.reload(net::AddressFamily::kIpv4, bad);
+  // Poll until the reloader has handled the job: it either counts a
+  // failure or swaps.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (running.server.reload_failures() == 0 &&
+         client.stats().second.swaps == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "reload never completed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(running.server.reload_failures(), 1u);
+  EXPECT_EQ(client.stats().second.swaps, 0u);
+  const auto [after, info_after] = client.info(net::AddressFamily::kIpv4);
+  EXPECT_EQ(after.fingerprint, fp_good);
+  EXPECT_EQ(after.generation, before.generation);
+
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 // Raw-socket helper: sends one framed request payload and reads back
