@@ -30,11 +30,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -152,40 +155,57 @@ bool rankings_agree(const core::DensityRanking& a,
 
 }  // namespace
 
+constexpr char kUsage[] =
+    "usage: micro_coldstart [--prefixes N] [--iters K] [--lookups M] "
+    "[--seed S]\n";
+
 int main(int argc, char** argv) {
-  std::size_t prefix_count = 120'000;
-  std::size_t lookup_count = 200'000;
-  int iters = 5;
+  std::uint64_t prefix_count = 120'000;
+  std::uint64_t lookup_count = 200'000;
+  std::uint64_t iter_count = 5;
   std::uint64_t seed = 2016;
+  // Each flag's accepted range. Cells are at most /24s, so no table has
+  // more than 2^24 of them; lookups are held as 4-byte addresses.
+  struct Flag {
+    const char* name;
+    std::uint64_t* value;
+    std::uint64_t min;
+    std::uint64_t max;
+  };
+  const Flag flags[] = {
+      {"--prefixes", &prefix_count, 1, std::uint64_t{1} << 24},
+      {"--iters", &iter_count, 1, 10'000},
+      {"--lookups", &lookup_count, 0, std::uint64_t{1} << 28},
+      {"--seed", &seed, 0, std::numeric_limits<std::uint64_t>::max()},
+  };
   for (int i = 1; i < argc; i += 2) {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for '%s'\n", argv[i]);
       return 2;
     }
+    const Flag* flag = std::find_if(
+        std::begin(flags), std::end(flags),
+        [&](const Flag& f) { return std::strcmp(argv[i], f.name) == 0; });
+    if (flag == std::end(flags)) {
+      std::fprintf(stderr, "unknown flag '%s'\n%s", argv[i], kUsage);
+      return 2;
+    }
     char* end = nullptr;
+    errno = 0;
     const std::uint64_t value = std::strtoull(argv[i + 1], &end, 10);
-    if (end == argv[i + 1] || *end != '\0') {
+    if (end == argv[i + 1] || *end != '\0' || argv[i + 1][0] == '-') {
       std::fprintf(stderr, "not a number: '%s'\n", argv[i + 1]);
       return 2;
     }
-    if (std::strcmp(argv[i], "--prefixes") == 0) {
-      prefix_count = value;
-    } else if (std::strcmp(argv[i], "--iters") == 0) {
-      iters = static_cast<int>(value);
-    } else if (std::strcmp(argv[i], "--lookups") == 0) {
-      lookup_count = value;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = value;
-    } else {
+    if (errno == ERANGE || value < flag->min || value > flag->max) {
       std::fprintf(stderr,
-                   "unknown flag '%s'\nusage: micro_coldstart "
-                   "[--prefixes N] [--iters K] [--lookups M] [--seed S]\n",
-                   argv[i]);
+                   "%s must be in [%" PRIu64 ", %" PRIu64 "], got '%s'\n%s",
+                   flag->name, flag->min, flag->max, argv[i + 1], kUsage);
       return 2;
     }
+    *flag->value = value;
   }
-  if (prefix_count == 0) prefix_count = 1;
-  if (iters <= 0) iters = 1;
+  const int iters = static_cast<int>(iter_count);
 
   // ---- setup (untimed): the durable artifacts both paths start from --
   // (pid-suffixed so concurrent runs — e.g. ctest in two build trees —

@@ -1,7 +1,6 @@
 // Kernel dispatch for the per-block histogram step of
 // BasicPrefixPartition::tally_cells — the inner loop of the sharded
-// attribution path (core::attribute, which ScanEngine::run_attributed
-// calls).
+// attribution path (core::attribute) for address lists.
 //
 // Same architecture as trie/lpm_kernels.hpp: a table of plain function
 // pointers selected at runtime through util::cpu, with the scalar loop

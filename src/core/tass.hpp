@@ -11,8 +11,8 @@
 // count), census::SnapshotIndex answers the scan oracle's interval
 // queries from a rank directory, and the scan walk, attribution and
 // evaluation stages all fan out through util::run_shards. Threading
-// knobs: scan::EngineConfig::threads (the scan walk, and the attribution
-// run_attributed hands it to), core::AttributionConfig::threads,
+// knobs: scan::EngineConfig::threads (the scan walk; run_attributed
+// only counts, on the calling thread), core::AttributionConfig::threads,
 // core::EvaluationConfig::threads (1 = the calling thread only, 0 = the
 // process-wide pool sized to the hardware, N = a dedicated pool of N);
 // results are identical for every value.

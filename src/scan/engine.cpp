@@ -2,20 +2,19 @@
 
 #include <algorithm>
 
-#include "core/attribution.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tass::scan {
 
 namespace {
 
-// Collects the responsive addresses of the dense scope ranks [lo, hi):
-// the sub-intervals covering those ranks, in address order. `cumulative`
-// holds, at entry i, the scope addresses before interval i.
-void collect_ranks(std::span<const net::Interval> intervals,
-                   std::span<const std::uint64_t> cumulative, std::uint64_t lo,
-                   std::uint64_t hi, const ProbeOracle& oracle,
-                   std::vector<std::uint32_t>& out) {
+// Calls `visit` on the sub-intervals covering the dense scope ranks
+// [lo, hi), in address order. `cumulative` holds, at entry i, the scope
+// addresses before interval i.
+template <class Visit>
+void for_each_rank_piece(std::span<const net::Interval> intervals,
+                         std::span<const std::uint64_t> cumulative,
+                         std::uint64_t lo, std::uint64_t hi, Visit visit) {
   std::size_t index = static_cast<std::size_t>(
       std::upper_bound(cumulative.begin(), cumulative.end(), lo) -
       cumulative.begin() - 1);
@@ -27,9 +26,8 @@ void collect_ranks(std::span<const net::Interval> intervals,
         std::min<std::uint64_t>(interval.last.value(),
                                 interval.first.value() +
                                     (hi - 1 - cumulative[index]));
-    const net::Ipv4Address from(static_cast<std::uint32_t>(first));
-    const net::Ipv4Address to(static_cast<std::uint32_t>(last));
-    oracle.collect_responsive(net::Interval{from, to}, out);
+    visit(net::Interval{net::Ipv4Address(static_cast<std::uint32_t>(first)),
+                        net::Ipv4Address(static_cast<std::uint32_t>(last))});
     pos += last - first + 1;
   }
 }
@@ -45,7 +43,14 @@ ScanResult ScanEngine::run(const ScanScope& scope,
   const std::size_t shards = util::shard_count_for(
       total, std::max<std::uint64_t>(1, config_.min_addresses_per_shard));
 
+  // Each list is counted first and reserved exactly, so the hits are
+  // copied once rather than through repeated regrowth.
   if (config_.threads == 1 || shards == 1) {
+    std::uint64_t found = 0;
+    for (const net::Interval& interval : intervals) {
+      found += oracle.count_responsive(interval);
+    }
+    result.responsive.reserve(found);
     for (const net::Interval& interval : intervals) {
       oracle.collect_responsive(interval, result.responsive);
     }
@@ -58,7 +63,17 @@ ScanResult ScanEngine::run(const ScanScope& scope,
     util::run_chunks(
         config_.threads, 0, total, shards,
         [&](std::size_t shard, std::uint64_t lo, std::uint64_t hi) {
-          collect_ranks(intervals, cumulative, lo, hi, oracle, slots[shard]);
+          std::uint64_t found = 0;
+          for_each_rank_piece(intervals, cumulative, lo, hi,
+                              [&](net::Interval piece) {
+                                found += oracle.count_responsive(piece);
+                              });
+          std::vector<std::uint32_t>& slot = slots[shard];
+          slot.reserve(found);
+          for_each_rank_piece(intervals, cumulative, lo, hi,
+                              [&](net::Interval piece) {
+                                oracle.collect_responsive(piece, slot);
+                              });
         });
     std::size_t found = 0;
     for (const auto& slot : slots) found += slot.size();
@@ -84,13 +99,29 @@ AttributedScanResult ScanEngine::run_attributed(
     const ScanScope& scope, const ProbeOracle& oracle,
     const bgp::PrefixPartition& partition) const {
   AttributedScanResult out;
-  out.result = run(scope, oracle);
-  core::Attribution attribution =
-      core::attribute(out.result.responsive, partition,
-                      {config_.threads, config_.min_addresses_per_shard});
-  out.cell_counts = std::move(attribution.counts);
-  out.attributed = attribution.attributed;
-  out.unattributed = attribution.unattributed;
+  out.result.stats.probes_sent = scope.address_count();
+  out.cell_counts.assign(partition.size(), 0);
+  // Live cells in address order (disjoint prefixes sort by network).
+  const auto cells = partition.raw().sorted;
+  auto next = cells.begin();
+  for (const net::Interval& interval : scope.targets().intervals()) {
+    out.result.stats.responses += oracle.count_responsive(interval);
+    // Intervals ascend, so the first cell reaching this one lies at or
+    // after the previous interval's first overlapping cell.
+    next = std::partition_point(next, cells.end(), [&](const auto& cell) {
+      return cell.prefix.last() < interval.first;
+    });
+    for (auto cell = next;
+         cell != cells.end() && cell->prefix.first() <= interval.last;
+         ++cell) {
+      const net::Interval piece{std::max(cell->prefix.first(), interval.first),
+                                std::min(cell->prefix.last(), interval.last)};
+      const std::uint64_t hits = oracle.count_responsive(piece);
+      out.cell_counts[cell->slot] += static_cast<std::uint32_t>(hits);
+      out.attributed += hits;
+    }
+  }
+  out.unattributed = out.result.stats.responses - out.attributed;
   return out;
 }
 

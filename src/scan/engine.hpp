@@ -9,11 +9,16 @@
 //
 // The walk is sharded: the scope is cut into address chunks whose
 // boundaries depend only on the scope (never on the thread count), each
-// shard collects into its own slot, and the slots are concatenated in
-// shard order — so the ScanResult is bit-identical for 1 thread and N
-// threads. Oracles must be const-thread-safe when threads != 1.
-// run_attributed() is run() followed by core::attribute() with the same
-// thread and shard knobs.
+// shard counts its hits, reserves that many slots and collects into its
+// own slot, and the slots are concatenated in shard order — so the
+// ScanResult is bit-identical for 1 thread and N threads. Oracles must
+// be const-thread-safe when threads != 1.
+//
+// run_attributed() never builds the hit list: step 1 of the paper needs
+// only c_i per cell, so it merge-walks the scope's intervals against the
+// partition's live cells in address order and asks the oracle to count
+// each cell-and-interval piece. That is O(intervals * log cells + pieces)
+// count queries on the calling thread, whatever the number of hits.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +44,15 @@ class ProbeOracle {
   /// in ascending order.
   virtual void collect_responsive(net::Interval interval,
                                   std::vector<std::uint32_t>& out) const = 0;
+
+  /// Number of responsive addresses in the inclusive interval: the size
+  /// collect_responsive() would append.
+  virtual std::uint64_t count_responsive(net::Interval interval) const = 0;
 };
 
 /// Oracle backed by a census ground-truth snapshot. Builds a
 /// census::SnapshotIndex rank directory once, so each interval query is
-/// two directory-bounded binary searches plus one range copy.
+/// two directory-bounded binary searches, plus one range copy to collect.
 class SnapshotOracle final : public ProbeOracle {
  public:
   explicit SnapshotOracle(const census::Snapshot& snapshot)
@@ -52,6 +61,10 @@ class SnapshotOracle final : public ProbeOracle {
   void collect_responsive(net::Interval interval,
                           std::vector<std::uint32_t>& out) const override {
     index_.collect_responsive(interval, out);
+  }
+
+  std::uint64_t count_responsive(net::Interval interval) const override {
+    return index_.count_responsive(interval);
   }
 
  private:
@@ -97,7 +110,7 @@ struct ScanResult {
 
 /// A scan cycle plus per-cell attribution of its hits (paper §3.1 step 1).
 struct AttributedScanResult {
-  ScanResult result;
+  ScanResult result;  // stats only: `responsive` is always empty
   std::vector<std::uint32_t> cell_counts;  // responsive per partition cell
   std::uint64_t attributed = 0;            // hits inside the partition
   std::uint64_t unattributed = 0;          // hits outside (unrouted space)
@@ -126,8 +139,9 @@ class ScanEngine {
   /// Simulates one scan cycle over the scope.
   ScanResult run(const ScanScope& scope, const ProbeOracle& oracle) const;
 
-  /// run() plus core::attribute() of its hits onto `partition`, sharded
-  /// with this engine's `threads` and `min_addresses_per_shard`.
+  /// Counts one scan cycle's hits per cell of `partition` without
+  /// collecting them: the stats and attribution run() + core::attribute()
+  /// would give, computed on the calling thread for every `threads`.
   AttributedScanResult run_attributed(const ScanScope& scope,
                                       const ProbeOracle& oracle,
                                       const bgp::PrefixPartition& partition)

@@ -757,12 +757,14 @@ void Server::perform_reload(const ReloadJob& job) {
     return;
   }
   last_install_us_.store(elapsed_us(t0), std::memory_order_relaxed);
+  // Replies carry the new fingerprint from here on, so the swap counts
+  // now; the old generation is retired (and counted) once it drains.
+  swaps_.fetch_add(1, std::memory_order_relaxed);
 
   const auto t1 = Clock::now();
   store<Family>().retire(old);
   last_drain_us_.store(elapsed_us(t1), std::memory_order_relaxed);
   if (old != nullptr) retired_.fetch_add(1, std::memory_order_relaxed);
-  swaps_.fetch_add(1, std::memory_order_relaxed);
 
   {
     std::lock_guard lock(path_mutex_);

@@ -104,8 +104,9 @@ class Server {
   /// Enqueues a generation swap for `family`, reloading from `path` —
   /// or from the family's current path when nullopt (the SIGHUP
   /// semantics). Returns the reload ticket. The swap is asynchronous;
-  /// observe completion via stats().swaps or a changed response
-  /// fingerprint. A failed load or audit (missing/corrupt file, wrong
+  /// observe it via stats().swaps (counted at install) or a changed
+  /// response fingerprint, and the old generation's drain via
+  /// stats().generations_retired. A failed load or audit (missing/corrupt file, wrong
   /// family, an image verify() rejects) keeps the current generation
   /// serving and counts a failure.
   std::uint64_t request_reload(net::AddressFamily family,

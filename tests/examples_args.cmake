@@ -2,12 +2,14 @@
 #
 #   cmake -DSURVEY=<vulnerability_survey> -DCOMPARE=<strategy_compare>
 #         -DPLANNER=<scan_planner> -DCLI=<tass_cli> -DDATA=<repo>/data
-#         -DWORK=<work dir> -P tests/examples_args.cmake
+#         -DWORK=<work dir> [-DCOLDSTART=<micro_coldstart>]
+#         -P tests/examples_args.cmake
 #
 # A malformed or out-of-range number (or an unknown protocol name, prefix
 # mode or option) must print `error:` and exit 1 before any work starts:
 # never a library precondition abort, never a silent partial parse or
-# default.
+# default. micro_coldstart, when built, must reject out-of-range flags
+# with its usage line and exit 2 rather than narrow them.
 cmake_minimum_required(VERSION 3.20)
 
 foreach(var SURVEY COMPARE PLANNER CLI DATA WORK)
@@ -47,6 +49,21 @@ endfunction()
 expect(1 "error: phi" "${SURVEY}" https 2)
 expect(1 "error: phi" "${SURVEY}" https 0.5junk)
 expect(1 "error: vulnerable_rate" "${SURVEY}" https 0.5 nan)
+# A vulnerable rate of 0 is valid; the relative error against a ground
+# truth of 0 is undefined and must read n/a, never nan.
+execute_process(COMMAND "${SURVEY}" https 0.5 0
+                WORKING_DIRECTORY "${WORK}"
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err
+                TIMEOUT 120)
+if(NOT code STREQUAL "0" OR out MATCHES "nan" OR
+   NOT out MATCHES "relative error +n/a")
+  message(FATAL_ERROR "vulnerability_survey https 0.5 0: exit '${code}', "
+                      "stdout must hold 'relative error n/a' and no nan\n"
+                      "stdout:\n${out}")
+endif()
+message(STATUS "ok: vulnerability_survey https 0.5 0")
 expect(1 "error: months" "${COMPARE}" https abc)
 expect(1 "error: months" "${COMPARE}" https 0)
 # An empty table path selects scan_planner's synthetic table. A list
@@ -71,3 +88,16 @@ expect(0 "sealed" "${CLI}" state build "${DATA}/sample.pfx2as" /dev/null
 expect(0 "image OK" "${CLI}" state info "${image}")
 expect(1 "error: unknown option '--huge'" "${CLI}" state info "${image}"
        --huge)
+
+if(DEFINED COLDSTART)
+  # 2^32 iterations once narrowed to int and ran as one iteration.
+  expect(2 "--iters must be in .*usage: micro_coldstart" "${COLDSTART}"
+         --iters 4294967296)
+  expect(2 "--iters must be in .*usage: micro_coldstart" "${COLDSTART}"
+         --iters 0)
+  expect(2 "--prefixes must be in .*usage: micro_coldstart" "${COLDSTART}"
+         --prefixes 16777217)
+  expect(2 "--lookups must be in .*usage: micro_coldstart" "${COLDSTART}"
+         --lookups 18446744073709551616)
+  expect(2 "not a number" "${COLDSTART}" --prefixes -1)
+endif()

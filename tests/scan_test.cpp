@@ -85,6 +85,13 @@ class VectorOracle final : public ProbeOracle {
                std::upper_bound(responsive_.begin(), responsive_.end(),
                                 interval.last.value()));
   }
+  std::uint64_t count_responsive(net::Interval interval) const override {
+    return static_cast<std::uint64_t>(
+        std::upper_bound(responsive_.begin(), responsive_.end(),
+                         interval.last.value()) -
+        std::lower_bound(responsive_.begin(), responsive_.end(),
+                         interval.first.value()));
+  }
 
  private:
   std::vector<std::uint32_t> responsive_;
@@ -144,6 +151,9 @@ TEST(ScanEngine, EnumeratedResultsAreSortNormalized) {
       inner_.collect_responsive(interval, out);
       std::reverse(out.begin() + static_cast<std::ptrdiff_t>(before),
                    out.end());
+    }
+    std::uint64_t count_responsive(net::Interval interval) const override {
+      return inner_.count_responsive(interval);
     }
 
    private:
@@ -237,10 +247,38 @@ TEST(ScanEngine, ResultsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// run_attributed counts without collecting, on the calling thread, so
+// its cell counts, attribution split and stats must equal run() plus a
+// sequential core::attribute pass over the collected list — for any
+// thread count, the shared pool (0) included.
+void expect_run_attributed_matches(const ScanScope& scope,
+                                   const ProbeOracle& oracle,
+                                   const bgp::PrefixPartition& partition) {
+  EngineConfig config;
+  config.min_addresses_per_shard = 1 << 10;
+  const ScanResult plain = ScanEngine(config).run(scope, oracle);
+  const core::Attribution reference =
+      core::attribute(plain.responsive, partition, {1});
+
+  for (const unsigned threads : {0u, 1u, 2u, 8u}) {
+    config.threads = threads;
+    const AttributedScanResult attributed =
+        ScanEngine(config).run_attributed(scope, oracle, partition);
+    EXPECT_TRUE(attributed.result.responsive.empty());
+    EXPECT_EQ(attributed.result.stats.probes_sent, plain.stats.probes_sent)
+        << "threads=" << threads;
+    EXPECT_EQ(attributed.result.stats.responses, plain.stats.responses)
+        << "threads=" << threads;
+    EXPECT_EQ(attributed.attributed, reference.attributed)
+        << "threads=" << threads;
+    EXPECT_EQ(attributed.unattributed, reference.unattributed)
+        << "threads=" << threads;
+    EXPECT_EQ(attributed.cell_counts, reference.counts)
+        << "threads=" << threads;
+  }
+}
+
 TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
-  // run_attributed must produce the same responsive list as run() and
-  // the same per-cell counts as a separate sequential core::attribute
-  // pass — for any thread count, the shared pool (0) included.
   census::TopologyParams topo_params;
   topo_params.seed = 83;
   topo_params.l_prefix_count = 80;
@@ -251,35 +289,152 @@ TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
   const census::Snapshot snapshot = census::generate_population(
       topology, census::protocol_profile(census::Protocol::kHttp),
       pop_params);
+  const SnapshotOracle oracle(snapshot);
+  const bgp::PrefixPartition& partition = topology->m_partition;
 
   std::vector<net::Prefix> cells;
-  for (std::uint32_t cell = 0; cell < topology->m_partition.size();
-       cell += 2) {
-    cells.push_back(topology->m_partition.prefix(cell));
+  for (std::uint32_t cell = 0; cell < partition.size(); cell += 2) {
+    cells.push_back(partition.prefix(cell));
   }
-  const ScanScope scope(cells, Blocklist{});
-  const SnapshotOracle oracle(snapshot);
-
-  EngineConfig config;
-  config.min_addresses_per_shard = 1 << 10;
-  const ScanResult plain = ScanEngine(config).run(scope, oracle);
-  const core::Attribution reference =
-      core::attribute(plain.responsive, topology->m_partition, {1});
-
-  for (const unsigned threads : {0u, 1u, 2u, 8u}) {
-    config.threads = threads;
-    const AttributedScanResult attributed =
-        ScanEngine(config).run_attributed(scope, oracle,
-                                          topology->m_partition);
-    EXPECT_EQ(attributed.result.responsive, plain.responsive)
-        << "threads=" << threads;
-    EXPECT_EQ(attributed.attributed, reference.attributed);
-    EXPECT_EQ(attributed.unattributed, reference.unattributed);
-    ASSERT_EQ(attributed.cell_counts.size(), reference.counts.size());
-    for (std::size_t i = 0; i < reference.counts.size(); ++i) {
-      EXPECT_EQ(attributed.cell_counts[i], reference.counts[i])
-          << "cell=" << i << " threads=" << threads;
+  {
+    SCOPED_TRACE("every other m-cell");
+    expect_run_attributed_matches(ScanScope(cells, Blocklist{}), oracle,
+                                  partition);
+  }
+  {
+    // The l-prefixes minus a blocklist of small holes inside occupied
+    // cells: each hole splits its cell into several pieces.
+    Blocklist blocklist;
+    const auto counts = snapshot.counts_per_cell();
+    std::size_t holed = 0;
+    for (std::uint32_t cell = 0; cell < partition.size() && holed < 20;
+         ++cell) {
+      const net::Prefix prefix = partition.prefix(cell);
+      if (counts[cell] < 4 || prefix.length() > 24) continue;
+      const std::uint32_t base = prefix.network().value();
+      const std::uint64_t span = prefix.last().value() - base + 1;
+      blocklist.add(net::Interval{Ipv4Address(base + span / 4),
+                                  Ipv4Address(base + span / 4 + 9)});
+      blocklist.add(net::Interval{Ipv4Address(base + span / 2),
+                                  Ipv4Address(base + span / 2 + 99)});
+      ++holed;
     }
+    ASSERT_GT(holed, 0u);
+    SCOPED_TRACE("l-prefixes with blocklist holes");
+    expect_run_attributed_matches(
+        ScanScope(topology->l_partition.prefixes(), blocklist), oracle,
+        partition);
+  }
+  {
+    // The whole space: most of it lies outside the partition, so hits
+    // there must land in `unattributed`.
+    SCOPED_TRACE("full space");
+    expect_run_attributed_matches(ScanScope(net::IntervalSet::full_space()),
+                                  oracle, partition);
+  }
+}
+
+TEST(ScanEngine, RunAttributedCountsEdgeCells) {
+  // A hand-built partition with a cell ending at 255.255.255.255, a
+  // scope reaching unrouted space, blocklist holes splitting one cell
+  // into pieces, and — after apply_delta — dead slots.
+  const auto prefixes = [](std::initializer_list<const char*> texts) {
+    std::vector<Prefix> out;
+    for (const char* text : texts) out.push_back(Prefix::parse_or_throw(text));
+    return out;
+  };
+  bgp::PrefixPartition partition(
+      prefixes({"10.0.0.0/16", "10.1.0.0/24", "10.1.1.0/24", "10.2.0.0/15",
+                "192.168.0.0/20", "192.168.32.0/19", "255.255.255.0/24"}));
+
+  std::vector<std::uint32_t> hosts;
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (const char* text : {"10.0.0.0/13", "192.168.0.0/16",
+                           "255.255.0.0/16"}) {
+    const Prefix prefix = Prefix::parse_or_throw(text);
+    const std::uint64_t span =
+        prefix.last().value() - prefix.network().value() + 1;
+    for (int i = 0; i < 4000; ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      hosts.push_back(prefix.network().value() +
+                      static_cast<std::uint32_t>((state >> 33) % span));
+    }
+  }
+  for (const std::uint32_t edge : {0x0A000000u, 0x0A00FFFFu, 0xFFFFFF00u,
+                                   0xFFFFFFFFu}) {
+    hosts.push_back(edge);
+  }
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  const VectorOracle oracle(hosts);
+
+  Blocklist blocklist;
+  for (const char* hole : {"10.0.1.0/24", "10.0.5.16/28", "10.0.200.0/22",
+                           "10.2.128.0/17", "255.255.255.128/27"}) {
+    blocklist.add(Prefix::parse_or_throw(hole));
+  }
+  const ScanScope scope(prefixes({"10.0.0.0/13", "192.168.0.0/16",
+                                  "255.255.0.0/16"}),
+                        blocklist);
+  {
+    SCOPED_TRACE("fresh partition");
+    expect_run_attributed_matches(scope, oracle, partition);
+    const AttributedScanResult attributed =
+        ScanEngine().run_attributed(scope, oracle, partition);
+    EXPECT_GT(attributed.unattributed, 0u);
+    EXPECT_GT(attributed.cell_counts[6], 0u);  // 255.255.255.0/24
+  }
+
+  bgp::PrefixPartition::Delta delta;
+  delta.remove = prefixes({"10.1.0.0/24", "10.1.1.0/24", "192.168.0.0/20"});
+  delta.add = prefixes({"10.1.0.0/23"});
+  partition.apply_delta(delta);
+  ASSERT_LT(partition.live_cells(), partition.size());
+  {
+    SCOPED_TRACE("partition with dead slots");
+    expect_run_attributed_matches(scope, oracle, partition);
+  }
+  {
+    SCOPED_TRACE("of_cells rescan");
+    const std::vector<std::uint32_t> rescan = {
+        *partition.index_of(Prefix::parse_or_throw("10.1.0.0/23")),
+        *partition.index_of(Prefix::parse_or_throw("255.255.255.0/24"))};
+    expect_run_attributed_matches(ScanScope::of_cells(partition, rescan),
+                                  oracle, partition);
+  }
+}
+
+TEST(ScanEngine, SnapshotOracleCountsWhatItCollects) {
+  census::TopologyParams topo_params;
+  topo_params.seed = 29;
+  topo_params.l_prefix_count = 60;
+  const auto topology = census::generate_topology(topo_params);
+  census::PopulationParams pop_params;
+  pop_params.host_scale = 0.001;
+  const census::Snapshot snapshot = census::generate_population(
+      topology, census::protocol_profile(census::Protocol::kSsh),
+      pop_params);
+  const SnapshotOracle oracle(snapshot);
+  const std::vector<std::uint32_t> hosts = snapshot.addresses();
+  ASSERT_FALSE(hosts.empty());
+
+  // Random intervals, half of them anchored on a host so they hit.
+  std::uint64_t state = 17;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::uint32_t>(state >> 32);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t a =
+        i % 2 == 0 ? hosts[next() % hosts.size()] : next();
+    const std::uint32_t width = next() >> (next() % 32);
+    const std::uint32_t b = a > ~0u - width ? ~0u : a + width;
+    const net::Interval interval{Ipv4Address(a), Ipv4Address(b)};
+    std::vector<std::uint32_t> collected;
+    oracle.collect_responsive(interval, collected);
+    EXPECT_EQ(oracle.count_responsive(interval), collected.size())
+        << net::Ipv4Address(a).to_string() << "-"
+        << net::Ipv4Address(b).to_string();
   }
 }
 

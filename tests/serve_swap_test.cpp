@@ -199,9 +199,18 @@ TEST(ServeSwapStress, EveryResponseBindsToExactlyOneGeneration) {
   EXPECT_GT(swapped_mid_run.load(), 0u);
 
   Client control("127.0.0.1", server.port());
-  const auto stats = control.stats().second;
-  EXPECT_GE(stats.swaps, static_cast<std::uint64_t>(kSwaps));
-  EXPECT_GE(stats.generations_retired, static_cast<std::uint64_t>(kSwaps));
+  EXPECT_GE(control.stats().second.swaps, static_cast<std::uint64_t>(kSwaps));
+  // Swaps count at install; the last old generation retires once it
+  // drains, so poll for it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (control.stats().second.generations_retired <
+             static_cast<std::uint64_t>(kSwaps) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(control.stats().second.generations_retired,
+            static_cast<std::uint64_t>(kSwaps));
 
   server.stop();
   serving.join();

@@ -549,9 +549,14 @@ TEST(ServeDaemon, ReloadSwapsTheServedGeneration) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "reload did not land";
   }
-  const auto [stats_header, stats] = client.stats();
-  EXPECT_GE(stats.swaps, 1u);
-  EXPECT_GE(stats.generations_retired, 1u);
+  // The swap is counted at install, before the reply that carried fp_b;
+  // the old generation retires once its readers drain, so poll for it.
+  EXPECT_GE(client.stats().second.swaps, 1u);
+  while (client.stats().second.generations_retired == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "old generation never retired";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // A failed reload keeps the current generation and counts a failure.
   client.reload(net::AddressFamily::kIpv4, "/nonexistent/image.tsim");

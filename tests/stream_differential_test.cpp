@@ -56,6 +56,14 @@ class VectorOracle final : public scan::ProbeOracle {
                                 interval.last.value()));
   }
 
+  std::uint64_t count_responsive(net::Interval interval) const override {
+    return static_cast<std::uint64_t>(
+        std::upper_bound(hosts_.begin(), hosts_.end(),
+                         interval.last.value()) -
+        std::lower_bound(hosts_.begin(), hosts_.end(),
+                         interval.first.value()));
+  }
+
  private:
   std::vector<std::uint32_t> hosts_;
 };

@@ -388,6 +388,11 @@ class RangeOracle final : public scan::ProbeOracle {
       if (a % 4 == 0) out.push_back(static_cast<std::uint32_t>(a));
     }
   }
+  std::uint64_t count_responsive(net::Interval interval) const override {
+    const std::uint64_t first = interval.first.value();
+    const std::uint64_t last = interval.last.value();
+    return last / 4 - (first + 3) / 4 + 1;
+  }
 };
 
 TEST(StreamReactorTest, AsBudgetDefersAndLaterRescansCells) {
