@@ -1,10 +1,9 @@
-// Micro-benchmarks for the sharded, batched scan pipeline (google-
-// benchmark): the scan walk over the census::SnapshotIndex oracle
-// (rank-directory interval queries: two /16-bounded binary searches and
-// one range copy per interval), on one thread and sharded over an
-// N-thread util::ThreadPool, plus the index build and the parallel
-// attribution and evaluation stages. Throughput is reported in probes
-// (addresses) per second.
+// Micro-benchmarks for the batched scan pipeline (google-benchmark): the
+// counting scan walk over the census::SnapshotIndex oracle (one
+// rank-directory count per scope interval: two /16-bounded binary
+// searches), the index build, and the attribution and evaluation stages
+// sharded over an N-thread util::ThreadPool. Throughput is reported in
+// probes (addresses) per second.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,7 +17,6 @@
 #include "core/evaluate.hpp"
 #include "core/strategies.hpp"
 #include "scan/engine.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -69,23 +67,16 @@ void report_probes(benchmark::State& state, std::uint64_t probes_per_iter) {
                           static_cast<std::int64_t>(probes_per_iter));
 }
 
-void BM_EnumerateIndexed(benchmark::State& state) {
+void BM_ScanCount(benchmark::State& state) {
   const auto& scope = shared_scope();
   const scan::SnapshotOracle oracle(shared_snapshot());
-  scan::EngineConfig config;
-  config.threads = static_cast<unsigned>(state.range(0));
-  const scan::ScanEngine engine(config);
+  const scan::ScanEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(scope, oracle));
   }
   report_probes(state, scope.address_count());
 }
-BENCHMARK(BM_EnumerateIndexed)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanCount)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotIndexBuild(benchmark::State& state) {
   const auto& snapshot = shared_snapshot();

@@ -167,19 +167,13 @@ int main(int argc, char** argv) try {
 
   // 5. Dry-run the plan: replay one cycle over the plan scope (minus the
   //    default special-use blocklist) against the seed snapshot through
-  //    the sharded engine (batched index queries, one shard slot per
-  //    scope chunk, process-wide thread pool).
+  //    the engine (one batched index count per scope interval).
   const scan::ScanScope scope(selection.prefixes,
                               scan::Blocklist::default_blocklist());
-  scan::EngineConfig engine_config;
-  engine_config.threads = 0;  // all hardware threads
   const scan::SnapshotOracle oracle(seed);
-  const scan::ScanStats dry_run =
-      scan::ScanEngine(engine_config).run(scope, oracle).stats;
+  const scan::ScanStats dry_run = scan::ScanEngine().run(scope, oracle).stats;
   std::printf(
-      "\ndry run vs seed snapshot (%u threads): %llu probes, %llu hits, "
-      "hitrate %.4f\n",
-      util::ThreadPool::shared().thread_count(),
+      "\ndry run vs seed snapshot: %llu probes, %llu hits, hitrate %.4f\n",
       static_cast<unsigned long long>(dry_run.probes_sent),
       static_cast<unsigned long long>(dry_run.responses),
       dry_run.hitrate());

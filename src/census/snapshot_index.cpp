@@ -41,16 +41,6 @@ std::size_t SnapshotIndex::lower(std::uint32_t addr) const noexcept {
                                   hosts_.begin());
 }
 
-std::pair<std::size_t, std::size_t> SnapshotIndex::slots(
-    net::Interval interval) const noexcept {
-  const std::uint32_t last = interval.last.value();
-  const std::size_t lo = lower(interval.first.value());
-  const std::size_t hi = last == std::numeric_limits<std::uint32_t>::max()
-                             ? hosts_.size()
-                             : lower(last + 1);
-  return {lo, std::max(lo, hi)};
-}
-
 bool SnapshotIndex::contains(net::Ipv4Address addr) const noexcept {
   const std::size_t slot = lower(addr.value());
   return slot < hosts_.size() && hosts_[slot] == addr.value();
@@ -58,15 +48,13 @@ bool SnapshotIndex::contains(net::Ipv4Address addr) const noexcept {
 
 std::uint64_t SnapshotIndex::count_responsive(
     net::Interval interval) const noexcept {
-  const auto [lo, hi] = slots(interval);
-  return hi - lo;
-}
-
-void SnapshotIndex::collect_responsive(net::Interval interval,
-                                       std::vector<std::uint32_t>& out) const {
-  const auto [lo, hi] = slots(interval);
-  out.insert(out.end(), hosts_.begin() + static_cast<std::ptrdiff_t>(lo),
-             hosts_.begin() + static_cast<std::ptrdiff_t>(hi));
+  // Slots [lower(first), lower(last + 1)); empty if first > last.
+  const std::uint32_t last = interval.last.value();
+  const std::size_t lo = lower(interval.first.value());
+  const std::size_t hi = last == std::numeric_limits<std::uint32_t>::max()
+                             ? hosts_.size()
+                             : lower(last + 1);
+  return std::max(lo, hi) - lo;
 }
 
 }  // namespace tass::census

@@ -6,9 +6,8 @@
 // per cycle). The index keeps the responsive addresses as one ascending
 // array plus a 65 537-entry directory holding the first array slot of
 // every /16, so the rank of any address (the number of hosts below it)
-// is a binary search inside one /16's slice. Interval queries are two
-// ranks: counting is a subtraction and collecting is one range copy,
-// whatever the width of the interval.
+// is a binary search inside one /16's slice. An interval count is two
+// ranks and a subtraction, whatever the width of the interval.
 //
 // Memory: 4 B per host plus a fixed 256 KiB directory. A /32 bitmap
 // costs 8 KiB per occupied /16 instead, so the array is the smaller
@@ -20,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "net/interval.hpp"
@@ -46,21 +44,12 @@ class SnapshotIndex {
   /// Number of responsive addresses inside the inclusive interval.
   std::uint64_t count_responsive(net::Interval interval) const noexcept;
 
-  /// Appends the responsive addresses inside the inclusive interval to
-  /// `out`, in ascending order.
-  void collect_responsive(net::Interval interval,
-                          std::vector<std::uint32_t>& out) const;
-
   /// Total responsive addresses.
   std::uint64_t total_responsive() const noexcept { return hosts_.size(); }
 
  private:
   // Slot of the first host >= addr (hosts_.size() if none).
   std::size_t lower(std::uint32_t addr) const noexcept;
-  // Slots [lower(first), lower(last + 1)) of the inclusive interval
-  // (an empty range if first > last).
-  std::pair<std::size_t, std::size_t> slots(
-      net::Interval interval) const noexcept;
 
   std::vector<std::uint32_t> hosts_;      // ascending, duplicate-free
   std::vector<std::uint32_t> directory_;  // first slot of each /16, + end

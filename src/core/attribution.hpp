@@ -1,8 +1,8 @@
 // Attribution of raw scan results to prefix partitions.
 //
 // A real deployment does not get per-cell counts for free: a scan returns
-// a bag of responsive addresses (ScanResult), which must be attributed to
-// the l- or m-partition before density ranking (paper §3.1 step 1:
+// a bag of responsive addresses, which must be attributed to the l- or
+// m-partition before density ranking (paper §3.1 step 1:
 // "Count the number of responsive addresses c_i in each responsive
 // prefix i"). This module provides that bridge, so the pipeline
 //   scan -> attribute -> rank -> select

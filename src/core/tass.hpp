@@ -9,10 +9,9 @@
 // The hot path runs on a parallel substrate: util::ThreadPool shards
 // work deterministically (results are bit-identical for any thread
 // count), census::SnapshotIndex answers the scan oracle's interval
-// queries from a rank directory, and the scan walk, attribution and
-// evaluation stages all fan out through util::run_shards. Threading
-// knobs: scan::EngineConfig::threads (the scan walk; run_attributed
-// only counts, on the calling thread), core::AttributionConfig::threads,
+// counts from a rank directory, the scan walks count on the calling
+// thread, and the attribution and evaluation stages fan out through
+// util::run_shards. Threading knobs: core::AttributionConfig::threads,
 // core::EvaluationConfig::threads (1 = the calling thread only, 0 = the
 // process-wide pool sized to the hardware, N = a dedicated pool of N);
 // results are identical for every value.

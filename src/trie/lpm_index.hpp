@@ -241,10 +241,10 @@ class BasicLpmIndex {
   bool covers(Address addr) const noexcept { return lookup(addr) != kNoMatch; }
 
   /// Batched lookup: out[i] = lookup(addresses[i]). The span forms are what
-  /// the sharded scan engine and attribution call once per shard. The
-  /// kernel that runs is selected once per process by util::cpu (AVX2
-  /// gather kernel / pipelined walk / scalar reference — see
-  /// lpm_kernels.hpp); all kernels are bit-identical.
+  /// sharded attribution calls once per shard. The kernel that runs is
+  /// selected once per process by util::cpu (AVX2 gather kernel /
+  /// pipelined walk / scalar reference — see lpm_kernels.hpp); all
+  /// kernels are bit-identical.
   /// Precondition: out.size() >= addresses.size().
   void lookup_many(std::span<const AddressWord> addresses,
                    std::span<std::uint32_t> out) const noexcept;

@@ -4,32 +4,22 @@
 
 namespace tass::util {
 
-std::size_t shard_count_for(std::uint64_t total_items,
-                            std::uint64_t min_items_per_shard,
-                            std::size_t max_shards) noexcept {
-  if (total_items == 0 || max_shards <= 1) return 1;
-  if (min_items_per_shard == 0) min_items_per_shard = 1;
-  const std::uint64_t shards = total_items / min_items_per_shard;
-  return static_cast<std::size_t>(
-      std::clamp<std::uint64_t>(shards, 1, max_shards));
-}
-
 std::size_t shard_count_for_slots(std::uint64_t total_items,
                                   std::uint64_t min_items_per_shard,
                                   std::uint64_t cells,
                                   std::size_t bytes_per_cell) noexcept {
   constexpr std::uint64_t kSlotMemoryBudget = 64ULL << 20;  // bytes
-  // Clamp both factors: a zero-cell workload AND a zero-byte slot type
-  // (callers sizing for a slot-free reduction) must both yield a valid
-  // divisor, not a division by zero.
+  // Clamp every divisor: a zero grain, a zero-cell workload AND a
+  // zero-byte slot type (callers sizing for a slot-free reduction) must
+  // all yield a valid divisor, not a division by zero.
   const std::uint64_t slot_bytes =
       std::max<std::uint64_t>(1, cells) *
       std::max<std::uint64_t>(1, bytes_per_cell);
-  const auto max_shards = static_cast<std::size_t>(
-      std::clamp<std::uint64_t>(kSlotMemoryBudget / slot_bytes, 1, 1024));
-  return shard_count_for(total_items,
-                         std::max<std::uint64_t>(1, min_items_per_shard),
-                         max_shards);
+  const std::uint64_t max_shards =
+      std::clamp<std::uint64_t>(kSlotMemoryBudget / slot_bytes, 1, 1024);
+  return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      total_items / std::max<std::uint64_t>(1, min_items_per_shard), 1,
+      max_shards));
 }
 
 ThreadPool::ThreadPool(unsigned threads) {

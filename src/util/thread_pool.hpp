@@ -6,8 +6,8 @@
 // by shard index. Because shard *boundaries* depend only on the workload
 // (never on the pool size or on scheduling), merging the per-shard slots
 // in index order reproduces the sequential result bit for bit — the
-// property the scan engine, attribution and evaluation stages rely on to
-// stay deterministic under any thread count.
+// property the attribution and evaluation stages rely on to stay
+// deterministic under any thread count.
 //
 // The calling thread participates in every region, so a pool constructed
 // with 1 thread degenerates to plain inline execution and nested regions
@@ -27,18 +27,13 @@
 
 namespace tass::util {
 
-/// Deterministic shard count for a workload of `total_items`: grows with
-/// the workload, is capped at `max_shards`, and never depends on the pool
-/// size — so results merged in shard order are thread-count invariant.
-std::size_t shard_count_for(std::uint64_t total_items,
-                            std::uint64_t min_items_per_shard,
-                            std::size_t max_shards = 1024) noexcept;
-
-/// shard_count_for when every shard owns a dense result slot of `cells`
-/// entries of `bytes_per_cell` each (attribution-style count vectors):
-/// additionally caps the fan-out so the slot arrays fit a fixed memory
-/// budget however large one slot is. Still depends only on the inputs,
-/// never on the pool size.
+/// Deterministic shard count for a workload of `total_items` when every
+/// shard owns a dense result slot of `cells` entries of `bytes_per_cell`
+/// each (attribution-style count vectors): one shard per
+/// `min_items_per_shard` items, capped at 1024 and so that the slot
+/// arrays fit a fixed memory budget however large one slot is. Depends
+/// only on the inputs, never on the pool size — so results merged in
+/// shard order are thread-count invariant.
 std::size_t shard_count_for_slots(std::uint64_t total_items,
                                   std::uint64_t min_items_per_shard,
                                   std::uint64_t cells,

@@ -2,6 +2,7 @@
 // scope algebra and the simulated scan walk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -77,14 +78,6 @@ class VectorOracle final : public ProbeOracle {
  public:
   explicit VectorOracle(std::vector<std::uint32_t> responsive)
       : responsive_(std::move(responsive)) {}
-  void collect_responsive(net::Interval interval,
-                          std::vector<std::uint32_t>& out) const override {
-    out.insert(out.end(),
-               std::lower_bound(responsive_.begin(), responsive_.end(),
-                                interval.first.value()),
-               std::upper_bound(responsive_.begin(), responsive_.end(),
-                                interval.last.value()));
-  }
   std::uint64_t count_responsive(net::Interval interval) const override {
     return static_cast<std::uint64_t>(
         std::upper_bound(responsive_.begin(), responsive_.end(),
@@ -133,73 +126,9 @@ TEST(ScanEngine, SnapshotOracleFindsExactlyTheGroundTruth) {
   const SnapshotOracle oracle(snapshot);
   const ScanResult result = ScanEngine().run(scope, oracle);
   EXPECT_EQ(result.stats.responses, counts[cell]);
-  for (const std::uint32_t addr : result.responsive) {
-    EXPECT_TRUE(snapshot.contains(Ipv4Address(addr)));
-  }
 }
 
-TEST(ScanEngine, EnumeratedResultsAreSortNormalized) {
-  // `responsive` is ascending even when an oracle hands an interval's
-  // hits back out of order, sequential or sharded.
-  class ReversingOracle final : public ProbeOracle {
-   public:
-    explicit ReversingOracle(const census::Snapshot& snapshot)
-        : inner_(snapshot) {}
-    void collect_responsive(net::Interval interval,
-                            std::vector<std::uint32_t>& out) const override {
-      const std::size_t before = out.size();
-      inner_.collect_responsive(interval, out);
-      std::reverse(out.begin() + static_cast<std::ptrdiff_t>(before),
-                   out.end());
-    }
-    std::uint64_t count_responsive(net::Interval interval) const override {
-      return inner_.count_responsive(interval);
-    }
-
-   private:
-    SnapshotOracle inner_;
-  };
-
-  census::TopologyParams topo_params;
-  topo_params.seed = 12;
-  topo_params.l_prefix_count = 70;
-  const auto topology = census::generate_topology(topo_params);
-  census::PopulationParams pop_params;
-  pop_params.host_scale = 0.0008;
-  const census::Snapshot snapshot = census::generate_population(
-      topology, census::protocol_profile(census::Protocol::kHttp),
-      pop_params);
-
-  std::vector<net::Prefix> some_cells;
-  for (std::uint32_t cell = 0;
-       cell < topology->m_partition.size() && some_cells.size() < 40;
-       cell += 3) {
-    some_cells.push_back(topology->m_partition.prefix(cell));
-  }
-  const ScanScope scope(some_cells, Blocklist{});
-  const ScanResult want = ScanEngine().run(scope, SnapshotOracle(snapshot));
-  EXPECT_TRUE(std::is_sorted(want.responsive.begin(), want.responsive.end()));
-
-  const ReversingOracle reversing(snapshot);
-  std::vector<std::uint32_t> raw;
-  for (const net::Interval& interval : scope.targets().intervals()) {
-    reversing.collect_responsive(interval, raw);
-  }
-  ASSERT_FALSE(std::is_sorted(raw.begin(), raw.end()));
-  EngineConfig config;
-  config.min_addresses_per_shard = 1 << 10;
-  for (const unsigned threads : {1u, 2u}) {
-    config.threads = threads;
-    EXPECT_EQ(ScanEngine(config).run(scope, reversing).responsive,
-              want.responsive)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ScanEngine, ResultsAreBitIdenticalAcrossThreadCounts) {
-  // The sharded walk must reproduce the sequential result
-  // exactly for any thread count: shard boundaries depend only on the
-  // scope, and per-shard slots merge in shard order.
+TEST(ScanEngine, RunCountsMatchPerAddressReference) {
   census::TopologyParams topo_params;
   topo_params.seed = 77;
   topo_params.l_prefix_count = 90;
@@ -220,65 +149,53 @@ TEST(ScanEngine, ResultsAreBitIdenticalAcrossThreadCounts) {
   const ScanScope scope(cells, Blocklist{});
   const SnapshotOracle oracle(snapshot);
 
-  // Legacy reference: one virtual membership probe per in-scope address.
-  ScanResult reference;
+  // Reference: one membership probe per in-scope address.
+  ScanStats reference;
   for (const net::Interval& interval : scope.targets().intervals()) {
     const std::uint64_t last = interval.last.value();
     for (std::uint64_t value = interval.first.value(); value <= last;
          ++value) {
-      const net::Ipv4Address addr(static_cast<std::uint32_t>(value));
-      ++reference.stats.probes_sent;
-      if (snapshot.contains(addr)) {
-        ++reference.stats.responses;
-        reference.responsive.push_back(addr.value());
+      ++reference.probes_sent;
+      if (snapshot.contains(Ipv4Address(static_cast<std::uint32_t>(value)))) {
+        ++reference.responses;
       }
     }
   }
 
-  EngineConfig config;
-  config.min_addresses_per_shard = 1 << 10;  // force many shards
-  for (const unsigned threads : {0u, 1u, 2u, 8u}) {
-    config.threads = threads;
-    const ScanResult result = ScanEngine(config).run(scope, oracle);
-    EXPECT_EQ(result.responsive, reference.responsive)
-        << "threads=" << threads;
-    EXPECT_EQ(result.stats.probes_sent, reference.stats.probes_sent);
-    EXPECT_EQ(result.stats.responses, reference.stats.responses);
-  }
+  const ScanResult result = ScanEngine().run(scope, oracle);
+  EXPECT_EQ(result.stats.probes_sent, reference.probes_sent);
+  EXPECT_EQ(result.stats.responses, reference.responses);
 }
 
-// run_attributed counts without collecting, on the calling thread, so
-// its cell counts, attribution split and stats must equal run() plus a
-// sequential core::attribute pass over the collected list — for any
-// thread count, the shared pool (0) included.
+// run() and run_attributed() count without collecting, so their stats,
+// cell counts and attribution split must equal a sequential
+// core::attribute pass over the ground-truth hosts (ascending) that lie
+// in the scope.
 void expect_run_attributed_matches(const ScanScope& scope,
                                    const ProbeOracle& oracle,
+                                   const std::vector<std::uint32_t>& hosts,
                                    const bgp::PrefixPartition& partition) {
-  EngineConfig config;
-  config.min_addresses_per_shard = 1 << 10;
-  const ScanResult plain = ScanEngine(config).run(scope, oracle);
-  const core::Attribution reference =
-      core::attribute(plain.responsive, partition, {1});
-
-  for (const unsigned threads : {0u, 1u, 2u, 8u}) {
-    config.threads = threads;
-    const AttributedScanResult attributed =
-        ScanEngine(config).run_attributed(scope, oracle, partition);
-    EXPECT_TRUE(attributed.result.responsive.empty());
-    EXPECT_EQ(attributed.result.stats.probes_sent, plain.stats.probes_sent)
-        << "threads=" << threads;
-    EXPECT_EQ(attributed.result.stats.responses, plain.stats.responses)
-        << "threads=" << threads;
-    EXPECT_EQ(attributed.attributed, reference.attributed)
-        << "threads=" << threads;
-    EXPECT_EQ(attributed.unattributed, reference.unattributed)
-        << "threads=" << threads;
-    EXPECT_EQ(attributed.cell_counts, reference.counts)
-        << "threads=" << threads;
+  std::vector<std::uint32_t> in_scope;
+  for (const std::uint32_t host : hosts) {
+    if (scope.contains(Ipv4Address(host))) in_scope.push_back(host);
   }
+  const core::Attribution reference =
+      core::attribute(in_scope, partition, {1});
+
+  const ScanResult plain = ScanEngine().run(scope, oracle);
+  EXPECT_EQ(plain.stats.probes_sent, scope.address_count());
+  EXPECT_EQ(plain.stats.responses, in_scope.size());
+
+  const AttributedScanResult attributed =
+      ScanEngine().run_attributed(scope, oracle, partition);
+  EXPECT_EQ(attributed.result.stats.probes_sent, scope.address_count());
+  EXPECT_EQ(attributed.result.stats.responses, in_scope.size());
+  EXPECT_EQ(attributed.attributed, reference.attributed);
+  EXPECT_EQ(attributed.unattributed, reference.unattributed);
+  EXPECT_EQ(attributed.cell_counts, reference.counts);
 }
 
-TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
+TEST(ScanEngine, RunAttributedMatchesAttributedGroundTruth) {
   census::TopologyParams topo_params;
   topo_params.seed = 83;
   topo_params.l_prefix_count = 80;
@@ -290,6 +207,7 @@ TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
       topology, census::protocol_profile(census::Protocol::kHttp),
       pop_params);
   const SnapshotOracle oracle(snapshot);
+  const std::vector<std::uint32_t> hosts = snapshot.addresses();
   const bgp::PrefixPartition& partition = topology->m_partition;
 
   std::vector<net::Prefix> cells;
@@ -299,7 +217,7 @@ TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
   {
     SCOPED_TRACE("every other m-cell");
     expect_run_attributed_matches(ScanScope(cells, Blocklist{}), oracle,
-                                  partition);
+                                  hosts, partition);
   }
   {
     // The l-prefixes minus a blocklist of small holes inside occupied
@@ -323,14 +241,14 @@ TEST(ScanEngine, RunAttributedMatchesRunPlusAttribute) {
     SCOPED_TRACE("l-prefixes with blocklist holes");
     expect_run_attributed_matches(
         ScanScope(topology->l_partition.prefixes(), blocklist), oracle,
-        partition);
+        hosts, partition);
   }
   {
     // The whole space: most of it lies outside the partition, so hits
     // there must land in `unattributed`.
     SCOPED_TRACE("full space");
     expect_run_attributed_matches(ScanScope(net::IntervalSet::full_space()),
-                                  oracle, partition);
+                                  oracle, hosts, partition);
   }
 }
 
@@ -378,7 +296,7 @@ TEST(ScanEngine, RunAttributedCountsEdgeCells) {
                         blocklist);
   {
     SCOPED_TRACE("fresh partition");
-    expect_run_attributed_matches(scope, oracle, partition);
+    expect_run_attributed_matches(scope, oracle, hosts, partition);
     const AttributedScanResult attributed =
         ScanEngine().run_attributed(scope, oracle, partition);
     EXPECT_GT(attributed.unattributed, 0u);
@@ -392,7 +310,7 @@ TEST(ScanEngine, RunAttributedCountsEdgeCells) {
   ASSERT_LT(partition.live_cells(), partition.size());
   {
     SCOPED_TRACE("partition with dead slots");
-    expect_run_attributed_matches(scope, oracle, partition);
+    expect_run_attributed_matches(scope, oracle, hosts, partition);
   }
   {
     SCOPED_TRACE("of_cells rescan");
@@ -400,11 +318,11 @@ TEST(ScanEngine, RunAttributedCountsEdgeCells) {
         *partition.index_of(Prefix::parse_or_throw("10.1.0.0/23")),
         *partition.index_of(Prefix::parse_or_throw("255.255.255.0/24"))};
     expect_run_attributed_matches(ScanScope::of_cells(partition, rescan),
-                                  oracle, partition);
+                                  oracle, hosts, partition);
   }
 }
 
-TEST(ScanEngine, SnapshotOracleCountsWhatItCollects) {
+TEST(ScanEngine, SnapshotOracleCountsTheGroundTruth) {
   census::TopologyParams topo_params;
   topo_params.seed = 29;
   topo_params.l_prefix_count = 60;
@@ -430,9 +348,11 @@ TEST(ScanEngine, SnapshotOracleCountsWhatItCollects) {
     const std::uint32_t width = next() >> (next() % 32);
     const std::uint32_t b = a > ~0u - width ? ~0u : a + width;
     const net::Interval interval{Ipv4Address(a), Ipv4Address(b)};
-    std::vector<std::uint32_t> collected;
-    oracle.collect_responsive(interval, collected);
-    EXPECT_EQ(oracle.count_responsive(interval), collected.size())
+    const auto brute = std::count_if(
+        hosts.begin(), hosts.end(),
+        [&](std::uint32_t host) { return host >= a && host <= b; });
+    EXPECT_EQ(oracle.count_responsive(interval),
+              static_cast<std::uint64_t>(brute))
         << net::Ipv4Address(a).to_string() << "-"
         << net::Ipv4Address(b).to_string();
   }
@@ -454,8 +374,7 @@ TEST(ScanScope, HandlesTopOfAddressSpace) {
   const VectorOracle oracle({0xffffff05u, 0xffffffffu});
   const ScanResult result = ScanEngine().run(scope, oracle);
   EXPECT_EQ(result.stats.probes_sent, 256u);
-  EXPECT_EQ(result.responsive,
-            (std::vector<std::uint32_t>{0xffffff05u, 0xffffffffu}));
+  EXPECT_EQ(result.stats.responses, 2u);
 }
 
 TEST(CostModel, PerProtocolHandshakes) {

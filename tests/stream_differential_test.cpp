@@ -11,7 +11,7 @@
 //   * Lockstep (one churn step == one reactor batch): *bit-identical*
 //     partition (slot numbering included), counts, ranking (every field,
 //     float bits, RankedPrefix::index included) and routing table, for
-//     any fragmentation of the wire and any engine thread count.
+//     any fragmentation of the wire.
 //   * Whole-stream (many steps folded through the queue, small batches,
 //     or the asynchronous two-thread mode): batch boundaries shift slot
 //     assignment, so equality is semantic — identical live prefix sets,
@@ -46,15 +46,6 @@ class VectorOracle final : public scan::ProbeOracle {
  public:
   explicit VectorOracle(std::vector<std::uint32_t> hosts)
       : hosts_(std::move(hosts)) {}
-
-  void collect_responsive(net::Interval interval,
-                          std::vector<std::uint32_t>& out) const override {
-    out.insert(out.end(),
-               std::lower_bound(hosts_.begin(), hosts_.end(),
-                                interval.first.value()),
-               std::upper_bound(hosts_.begin(), hosts_.end(),
-                                interval.last.value()));
-  }
 
   std::uint64_t count_responsive(net::Interval interval) const override {
     return static_cast<std::uint64_t>(
@@ -317,9 +308,7 @@ TEST(StreamDifferentialTest, LockstepReplayIsBitIdenticalToBatch) {
     util::Rng rng(util::mix64(seed, 1));
     World world = generate_world(seed);
 
-    scan::EngineConfig config;
-    config.threads = 1;
-    const scan::ScanEngine engine(config);
+    const scan::ScanEngine engine;
     VectorOracle oracle(world.hosts);
 
     // Batch side.
@@ -404,9 +393,7 @@ TEST(StreamDifferentialTest, WholeStreamReplayMatchesBatchSemantically) {
   util::Rng rng(util::mix64(seed, 3));
   World world = generate_world(seed);
 
-  scan::EngineConfig config;
-  config.threads = 1;
-  const scan::ScanEngine engine(config);
+  const scan::ScanEngine engine;
   VectorOracle oracle(world.hosts);
 
   std::vector<net::Prefix> initial;
@@ -458,56 +445,6 @@ TEST(StreamDifferentialTest, WholeStreamReplayMatchesBatchSemantically) {
   EXPECT_GE(stats.batches, 2u);
 }
 
-// --- Engine thread count must not leak into the streamed state ---------
-
-TEST(StreamDifferentialTest, StreamedReplayIsThreadCountInvariant) {
-  constexpr int kSteps = 4;
-  const std::uint64_t seed = 909;
-  World world = generate_world(seed);
-
-  // One shared trace.
-  std::vector<std::byte> wire;
-  {
-    util::Rng rng(util::mix64(seed, 5));
-    auto table = world.table;
-    for (int step = 0; step < kSteps; ++step) {
-      const bgp::RibDelta delta = draw_churn(table, rng);
-      const auto step_wire = bgp::encode_mrt_updates(
-          delta, static_cast<std::uint32_t>(1441584000 + step));
-      wire.insert(wire.end(), step_wire.begin(), step_wire.end());
-      table = delta.apply(table);
-    }
-  }
-
-  std::optional<core::DensityRanking> reference;
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    scan::EngineConfig config;
-    config.threads = threads;
-    config.min_addresses_per_shard = 1u << 12;  // force real sharding
-    const scan::ScanEngine engine(config);
-    VectorOracle oracle(world.hosts);
-
-    std::vector<net::Prefix> initial;
-    for (const auto& record : world.table) initial.push_back(record.prefix);
-    const bgp::PrefixPartition bootstrap(initial);
-    std::vector<std::uint32_t> counts =
-        attribute_from_scratch(bootstrap, oracle, engine);
-
-    stream::StreamReactor reactor(world.table, counts, {});
-    reactor.set_rescanner(&oracle, &engine);
-    util::Rng frag_rng(util::mix64(seed, 6));  // same fragmentation
-    feed_fragmented(reactor, wire, frag_rng, 97);
-    reactor.flush();
-
-    if (!reference) {
-      reference = reactor.ranking();
-    } else {
-      expect_rankings_bit_identical(reactor.ranking(), *reference);
-    }
-  }
-}
-
 // --- Asynchronous mode lands on the same state as synchronous ----------
 
 TEST(StreamDifferentialTest, AsyncReplayMatchesBatchSemantically) {
@@ -516,9 +453,7 @@ TEST(StreamDifferentialTest, AsyncReplayMatchesBatchSemantically) {
   util::Rng rng(util::mix64(seed, 7));
   World world = generate_world(seed);
 
-  scan::EngineConfig config;
-  config.threads = 1;
-  const scan::ScanEngine engine(config);
+  const scan::ScanEngine engine;
   VectorOracle oracle(world.hosts);
 
   std::vector<net::Prefix> initial;

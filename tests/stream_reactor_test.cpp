@@ -381,13 +381,6 @@ TEST(StreamReactorTest, MissingFeedFileIsATypedError) {
 class RangeOracle final : public scan::ProbeOracle {
  public:
   // Deterministic quarter density: every address divisible by 4.
-  void collect_responsive(net::Interval interval,
-                          std::vector<std::uint32_t>& out) const override {
-    for (std::uint64_t a = interval.first.value();
-         a <= interval.last.value(); ++a) {
-      if (a % 4 == 0) out.push_back(static_cast<std::uint32_t>(a));
-    }
-  }
   std::uint64_t count_responsive(net::Interval interval) const override {
     const std::uint64_t first = interval.first.value();
     const std::uint64_t last = interval.last.value();
@@ -405,9 +398,7 @@ TEST(StreamReactorTest, AsBudgetDefersAndLaterRescansCells) {
   StreamReactor reactor(world.table, world.counts, options);
 
   RangeOracle oracle;
-  scan::EngineConfig config;
-  config.threads = 1;
-  const scan::ScanEngine engine(config);
+  const scan::ScanEngine engine;
   reactor.set_rescanner(&oracle, &engine);
 
   // Two new prefixes from the same origin AS in one batch: the bucket
@@ -451,9 +442,7 @@ TEST(StreamReactorTest, WithdrawnDeferredCellIsDroppedNotRescanned) {
   StreamReactor reactor(world.table, world.counts, options);
 
   RangeOracle oracle;
-  scan::EngineConfig config;
-  config.threads = 1;
-  const scan::ScanEngine engine(config);
+  const scan::ScanEngine engine;
   reactor.set_rescanner(&oracle, &engine);
 
   reactor.feed(wire_of(

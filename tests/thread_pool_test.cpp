@@ -13,13 +13,16 @@
 namespace tass::util {
 namespace {
 
-TEST(ShardCountFor, ScalesWithWorkloadNotPool) {
-  EXPECT_EQ(shard_count_for(0, 100), 1u);
-  EXPECT_EQ(shard_count_for(99, 100), 1u);
-  EXPECT_EQ(shard_count_for(100, 100), 1u);
-  EXPECT_EQ(shard_count_for(1000, 100), 10u);
-  EXPECT_EQ(shard_count_for(1'000'000, 100, 64), 64u);  // capped
-  EXPECT_EQ(shard_count_for(42, 0), 42u);  // zero grain treated as 1
+TEST(ShardCountForSlots, ScalesWithWorkloadNotPool) {
+  // A 1-byte, 1-cell slot leaves the 1024-shard cap in force.
+  EXPECT_EQ(shard_count_for_slots(0, 100, 1, 1), 1u);
+  EXPECT_EQ(shard_count_for_slots(99, 100, 1, 1), 1u);
+  EXPECT_EQ(shard_count_for_slots(100, 100, 1, 1), 1u);
+  EXPECT_EQ(shard_count_for_slots(1000, 100, 1, 1), 10u);
+  EXPECT_EQ(shard_count_for_slots(1ULL << 40, 1, 1, 1), 1024u);  // capped
+  // A 1 MiB slot caps fan-out at 64 MiB / 1 MiB = 64 shards.
+  EXPECT_EQ(shard_count_for_slots(1'000'000, 100, 1ULL << 20, 1), 64u);
+  EXPECT_EQ(shard_count_for_slots(42, 0, 1, 1), 42u);  // zero grain as 1
 }
 
 TEST(ShardCountForSlots, ZeroBytesPerCellDoesNotDivideByZero) {
