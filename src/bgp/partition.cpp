@@ -125,7 +125,10 @@ BasicPrefixPartition<Family>::BasicPrefixPartition(
   for (std::size_t i = 0; i < prefixes_.size(); ++i) {
     sorted_.push_back({prefixes_[i], static_cast<std::uint32_t>(i)});
   }
-  std::sort(sorted_.begin(), sorted_.end());
+  // m_partition() emits its cells ascending; sort only other input.
+  if (!std::is_sorted(sorted_.begin(), sorted_.end())) {
+    std::sort(sorted_.begin(), sorted_.end());
+  }
 
   // Disjointness: with cells sorted by network address, an overlap exists
   // exactly when a cell starts at or before the furthest end seen so far

@@ -21,16 +21,19 @@ void merge_origins(std::vector<std::uint32_t>& into,
 
 // One route per distinct prefix, ascending. A stable sort keeps equal
 // prefixes in input order, so `origins_of` merges them first-seen first.
+// pfx2as dumps are ascending already; their order is kept as it is.
 template <class Route, class Input, class OriginsOf>
 std::vector<Route> merge_by_prefix(std::span<const Input> inputs,
                                    OriginsOf origins_of) {
   std::vector<const Input*> order;
   order.reserve(inputs.size());
   for (const Input& input : inputs) order.push_back(&input);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Input* a, const Input* b) {
-                     return a->prefix < b->prefix;
-                   });
+  const auto by_prefix = [](const Input* a, const Input* b) {
+    return a->prefix < b->prefix;
+  };
+  if (!std::is_sorted(order.begin(), order.end(), by_prefix)) {
+    std::stable_sort(order.begin(), order.end(), by_prefix);
+  }
   std::vector<Route> routes;
   for (const Input* input : order) {
     if (routes.empty() || routes.back().prefix != input->prefix) {

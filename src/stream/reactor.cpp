@@ -7,6 +7,7 @@
 
 #include "scan/scope.hpp"
 #include "state/image.hpp"
+#include "util/endian.hpp"
 #include "util/error.hpp"
 
 namespace tass::stream {
@@ -358,8 +359,12 @@ bool StreamReactor::process_batch() {
   if (changed && publisher_) {
     PublishedPlan plan;
     plan.seq = ++seq_;
-    plan.fingerprint = bgp::partition_fingerprint(partition_);
     plan.image = state::encode_image(partition_, ranking_);
+    // encode_image hashed the partition into the header; read it back
+    // rather than hashing every live cell a second time.
+    plan.fingerprint = util::load_le64(
+        std::span<const std::byte>(plan.image)
+            .subspan<state::kFingerprintOffset, 8>());
     plan.batch_updates = announces + withdraws + reorigins;
     latency = oldest == std::numeric_limits<double>::infinity()
                   ? 0.0

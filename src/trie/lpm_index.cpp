@@ -1,45 +1,11 @@
 #include "trie/lpm_index.hpp"
 
+#include <numeric>
+
 #include "trie/lpm_index6.hpp"
 #include "trie/lpm_kernels.hpp"
 
 namespace tass::trie {
-
-// Transient binary trie used only during construction; 12 bytes per node
-// (no std::optional padding) so full-RIB builds stay cheap. The read
-// structure is derived from it by leaf-pushing whole strides at a time.
-template <class Family>
-struct BasicLpmIndex<Family>::BuildNode {
-  std::int32_t child[2] = {-1, -1};
-  std::uint32_t value = kNoMatch;
-};
-
-template <class Family>
-void BasicLpmIndex<Family>::trie_insert(std::vector<BuildNode>& bt,
-                                        const Entry& entry) {
-  std::int32_t node = 0;
-  const net::AddressKey network = Family::first_key(entry.prefix);
-  for (int depth = 0; depth < entry.prefix.length(); ++depth) {
-    const int bit = network.bit(depth);
-    if (bt[static_cast<std::size_t>(node)].child[bit] < 0) {
-      bt[static_cast<std::size_t>(node)].child[bit] =
-          static_cast<std::int32_t>(bt.size());
-      bt.emplace_back();
-    }
-    node = bt[static_cast<std::size_t>(node)].child[bit];
-  }
-  bt[static_cast<std::size_t>(node)].value = entry.value;
-}
-
-// Builds the transient binary trie for a set of (absolute) entries; used
-// for both the full build and the per-block patches.
-template <class Family>
-auto BasicLpmIndex<Family>::build_trie(std::span<const Entry> entries)
-    -> std::vector<BuildNode> {
-  std::vector<BuildNode> bt(1);
-  for (const Entry& entry : entries) trie_insert(bt, entry);
-  return bt;
-}
 
 template <class Family>
 void BasicLpmIndex<Family>::sync_views() noexcept {
@@ -149,10 +115,34 @@ BasicLpmIndex<Family>::BasicLpmIndex(std::span<const Entry> table) {
     }
   }
   // Canonical entry table: ascending by prefix, duplicates resolved with
-  // the historical last-entry-wins semantics (stable sort keeps input
-  // order within a duplicate run; we keep the run's last element).
-  entries_.assign(table.begin(), table.end());
-  std::stable_sort(entries_.begin(), entries_.end(), entry_less);
+  // the historical last-entry-wins semantics (the sort is stable, keeping
+  // input order within a duplicate run; we keep the run's last element).
+  // Most tables arrive ascending already and are copied as they are.
+  if (std::is_sorted(table.begin(), table.end(), entry_less)) {
+    entries_.assign(table.begin(), table.end());
+  } else {
+    // A stable counting scatter on the top address bits (about one bucket
+    // per entry, at most one per root block), then a stable sort inside
+    // each bucket: the buckets are short and cache-resident, where a
+    // single sort over a large table is not.
+    const int bits =
+        std::min(kRootBits, static_cast<int>(std::bit_width(table.size())));
+    const auto bucket_of = [bits](const Entry& entry) {
+      return static_cast<std::size_t>(Family::first_key(entry.prefix).hi >>
+                                      (64 - bits));
+    };
+    std::vector<std::size_t> next(std::size_t{1} << bits, 0);
+    for (const Entry& entry : table) ++next[bucket_of(entry)];
+    std::exclusive_scan(next.begin(), next.end(), next.begin(),
+                        std::size_t{0});
+    entries_.resize(table.size());
+    for (const Entry& entry : table) entries_[next[bucket_of(entry)]++] = entry;
+    auto begin = entries_.begin();
+    for (const std::size_t end : next) {  // next[b] is now bucket b's end
+      std::stable_sort(begin, entries_.begin() + end, entry_less);
+      begin = entries_.begin() + end;
+    }
+  }
   std::size_t out = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     if (i + 1 < entries_.size() &&
@@ -166,13 +156,35 @@ BasicLpmIndex<Family>::BasicLpmIndex(std::span<const Entry> table) {
   rebuild_all();
 }
 
+// One pass over the sorted entry table. In (network, length) order an
+// ancestor sorts before every prefix it contains, so entries of /16 and
+// shorter paint the root in order and a later paint is always the longer
+// match. The longer entries of one /16 block form a contiguous run that
+// sorts after every paint covering the block, so the block's root word
+// already holds their inherited value when the run is reached.
 template <class Family>
 void BasicLpmIndex<Family>::rebuild_all() {
   nodes_.clear();
   leaves_.clear();
-  const std::vector<BuildNode> bt = build_trie(entries_);
   root_.assign(std::size_t{1} << kRootBits, kNoMatch);
-  fill_root(bt, 0, 0, 0, kNoMatch);
+  const std::span<const Entry> table = entries_;
+  for (std::size_t i = 0; i < table.size();) {
+    const int length = table[i].prefix.length();
+    const std::uint32_t block = Family::first_key(table[i].prefix).top16();
+    if (length <= kRootBits) {
+      std::fill_n(root_.begin() + block,
+                  std::size_t{1} << (kRootBits - length), table[i].value);
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < table.size() &&
+           Family::first_key(table[end].prefix).top16() == block) {
+      ++end;
+    }
+    place_block(block, table.subspan(i, end - i), root_[block]);
+    i = end;
+  }
   node_limit_ = nodes_.size() * 2 + 1024;
   leaf_limit_ = leaves_.size() * 2 + 4096;
   sync_views();
@@ -187,142 +199,88 @@ BasicLpmIndex<Family> BasicLpmIndex<Family>::from_prefixes(
   return BasicLpmIndex(table);
 }
 
-// Walks the build trie down to the root-stride depth. Slots whose subtree
-// ends at or above /16 become direct leaves; slots with longer prefixes
-// below get a node subtree. `path` is the address-bit prefix accumulated so
-// far, `inherited` the best match covering it.
+// Points root word `block` at the structure for `run` (the block's entries
+// longer than /16, ascending), or at `inherited` (the best match of /16 or
+// shorter) when the run is empty. A patch abandons the block's old subtree
+// in place; the next full rebuild reclaims it.
 template <class Family>
-void BasicLpmIndex<Family>::fill_root(const std::vector<BuildNode>& bt,
-                                      std::int32_t node, int depth,
-                                      std::uint32_t path,
-                                      std::uint32_t inherited) {
-  if (node >= 0 && bt[static_cast<std::size_t>(node)].value != kNoMatch) {
-    inherited = bt[static_cast<std::size_t>(node)].value;
-  }
-  const bool has_children =
-      node >= 0 && (bt[static_cast<std::size_t>(node)].child[0] >= 0 ||
-                    bt[static_cast<std::size_t>(node)].child[1] >= 0);
-  if (depth == kRootBits) {
-    if (has_children) {
-      const auto index = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.emplace_back();
-      populate(index, bt, node, depth, inherited);
-      root_[path] = kNodeFlag | index;
-    } else {
-      root_[path] = inherited;
-    }
+void BasicLpmIndex<Family>::place_block(std::uint32_t block,
+                                        std::span<const Entry> run,
+                                        std::uint32_t inherited) {
+  if (run.empty()) {
+    root_[block] = inherited;
     return;
   }
-  if (!has_children) {
-    // The whole sub-block resolves to `inherited` (root_ is pre-filled
-    // with kNoMatch, so only real matches need writing).
-    if (inherited != kNoMatch) {
-      const std::uint32_t width = 1u << (kRootBits - depth);
-      std::fill_n(root_.begin() + (path << (kRootBits - depth)), width,
-                  inherited);
-    }
-    return;
-  }
-  const BuildNode& bn = bt[static_cast<std::size_t>(node)];
-  fill_root(bt, bn.child[0], depth + 1, path << 1, inherited);
-  fill_root(bt, bn.child[1], depth + 1, (path << 1) | 1u, inherited);
+  const auto index = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.emplace_back();
+  build_node(index, run, kRootBits, inherited);
+  root_[block] = kNodeFlag | index;
 }
 
-// Fills nodes_[index] for the build-trie subtree rooted at `node` (a
-// stride-aligned depth >= 16). For every stride slot the best covering
-// value is leaf-pushed; slots with prefixes continuing below the stride
-// become children, which are allocated as one contiguous block so
-// popcount ranking addresses them.
+// Fills nodes_[index], the node at stride-aligned `depth` (>= 16), from
+// `run`: the entries longer than `depth` inside the node's range,
+// ascending. `inherited` is the best match covering the whole range. The
+// entries ending within the stride paint their slots in sorted order, so
+// every slot ends up leaf-pushed with its longest match; an entry reaching
+// below the stride marks its slot as a child instead, and each child's
+// entries form a contiguous sub-run. Children are allocated as one
+// contiguous block so popcount ranking addresses them.
 template <class Family>
-void BasicLpmIndex<Family>::populate(std::uint32_t index,
-                                     const std::vector<BuildNode>& bt,
-                                     std::int32_t node, int depth,
-                                     std::uint32_t inherited) {
+void BasicLpmIndex<Family>::build_node(std::uint32_t index,
+                                       std::span<const Entry> run, int depth,
+                                       std::uint32_t inherited) {
   const int stride = stride_at(depth);
+  const int next_depth = depth + stride;
   const std::uint32_t slots = 1u << stride;
 
-  std::array<std::int32_t, 64> sub{};
-  std::array<std::uint32_t, 64> value{};
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    std::int32_t cur = node;
-    std::uint32_t best = inherited;
-    for (int bit = stride - 1; bit >= 0 && cur >= 0; --bit) {
-      cur = bt[static_cast<std::size_t>(cur)].child[(slot >> bit) & 1u];
-      if (cur >= 0 && bt[static_cast<std::size_t>(cur)].value != kNoMatch) {
-        best = bt[static_cast<std::size_t>(cur)].value;
-      }
-    }
-    sub[slot] = cur;
-    value[slot] = best;
-  }
-
+  std::array<std::uint32_t, 64> value;
+  value.fill(inherited);
+  // The sub-run of the k-th child, in slot order; only the first
+  // popcount(child_bits) rows are ever written or read.
+  std::array<std::uint32_t, 64> child_begin{};
+  std::array<std::uint32_t, 64> child_end{};
+  std::uint32_t children = 0;
   Node result;
-  result.leaf_base = static_cast<std::uint32_t>(leaves_.size());
-  bool in_run = false;
-  std::uint32_t run_value = 0;
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    const bool internal =
-        sub[slot] >= 0 &&
-        (bt[static_cast<std::size_t>(sub[slot])].child[0] >= 0 ||
-         bt[static_cast<std::size_t>(sub[slot])].child[1] >= 0);
-    if (internal) {
-      result.child_bits |= 1ull << slot;
-      in_run = false;  // an internal slot breaks the leaf run
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const int length = run[i].prefix.length();
+    const std::uint32_t slot =
+        Family::first_key(run[i].prefix).slot(depth, stride);
+    if (length <= next_depth) {
+      std::fill_n(value.begin() + slot,
+                  std::size_t{1} << (next_depth - length), run[i].value);
       continue;
     }
-    if (!in_run || value[slot] != run_value) {
-      result.leaf_bits |= 1ull << slot;
-      leaves_.push_back(value[slot]);
-      in_run = true;
-      run_value = value[slot];
+    if (((result.child_bits >> slot) & 1u) == 0) {
+      result.child_bits |= 1ull << slot;
+      child_begin[children++] = static_cast<std::uint32_t>(i);
     }
+    child_end[children - 1] = static_cast<std::uint32_t>(i + 1);
   }
 
-  // Children must be contiguous; reserve the block first, then recurse
-  // (grandchildren land after it).
+  // A leaf run starts at every non-child slot that opens the node, follows
+  // a child, or differs from its left neighbour.
+  std::uint64_t starts = 1;
+  for (std::uint32_t slot = 1; slot < slots; ++slot) {
+    starts |= std::uint64_t{value[slot] != value[slot - 1]} << slot;
+  }
+  result.leaf_bits = (starts | (result.child_bits << 1)) &
+                     ~result.child_bits & (~0ull >> (64 - slots));
+  result.leaf_base = static_cast<std::uint32_t>(leaves_.size());
+  for (std::uint64_t bits = result.leaf_bits; bits != 0; bits &= bits - 1) {
+    leaves_.push_back(value[static_cast<std::size_t>(std::countr_zero(bits))]);
+  }
+
+  // Reserve the child block first, then recurse (grandchildren land
+  // after it).
   result.child_base = static_cast<std::uint32_t>(nodes_.size());
-  const auto child_count =
-      static_cast<std::size_t>(std::popcount(result.child_bits));
-  nodes_.resize(nodes_.size() + child_count);
+  nodes_.resize(nodes_.size() + children);
   nodes_[index] = result;
-  std::uint32_t child = result.child_base;
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    if ((result.child_bits >> slot) & 1u) {
-      populate(child++, bt, sub[slot], depth + stride, value[slot]);
-    }
-  }
-}
-
-// Rebuilds the read structures of one /16 root block from a transient
-// trie holding exactly the entries that intersect the block (in-block
-// prefixes plus any shorter covering prefixes). Mirrors the terminal case
-// of fill_root; the replaced subtree is abandoned in place and reclaimed
-// by the next full rebuild.
-template <class Family>
-void BasicLpmIndex<Family>::patch_block(std::uint32_t block,
-                                        const std::vector<BuildNode>& bt) {
-  std::int32_t node = 0;
-  std::uint32_t inherited = kNoMatch;
-  for (int depth = 0; depth < kRootBits && node >= 0; ++depth) {
-    if (bt[static_cast<std::size_t>(node)].value != kNoMatch) {
-      inherited = bt[static_cast<std::size_t>(node)].value;
-    }
-    const int bit = (block >> (kRootBits - 1 - depth)) & 1;
-    node = bt[static_cast<std::size_t>(node)].child[bit];
-  }
-  if (node >= 0 && bt[static_cast<std::size_t>(node)].value != kNoMatch) {
-    inherited = bt[static_cast<std::size_t>(node)].value;
-  }
-  const bool has_children =
-      node >= 0 && (bt[static_cast<std::size_t>(node)].child[0] >= 0 ||
-                    bt[static_cast<std::size_t>(node)].child[1] >= 0);
-  if (has_children) {
-    const auto index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-    populate(index, bt, node, kRootBits, inherited);
-    root_[block] = kNodeFlag | index;
-  } else {
-    root_[block] = inherited;
+  std::uint64_t bits = result.child_bits;
+  for (std::uint32_t k = 0; k < children; ++k, bits &= bits - 1) {
+    const auto slot = static_cast<std::size_t>(std::countr_zero(bits));
+    build_node(result.child_base + k,
+               run.subspan(child_begin[k], child_end[k] - child_begin[k]),
+               next_depth, value[slot]);
   }
 }
 
@@ -471,14 +429,12 @@ auto BasicLpmIndex<Family>::update(std::span<const Entry> upserts,
     return stats;
   }
 
-  // Per-block rebuild, with the gather buffer and the transient trie
-  // reused across blocks (the patch loop's hot allocation otherwise).
-  std::vector<BuildNode> bt;
+  // Per-block rebuild through the full build's block builder.
   for (const auto& [lo, hi] : runs) {
     for (std::uint32_t block = lo; block <= hi; ++block) {
-      bt.clear();
-      bt.emplace_back();
-      // Shorter prefixes covering the block — only lengths the table has.
+      // The best match of /16 or shorter: the shorter prefixes covering
+      // the block (probing only lengths the table has), then its own /16.
+      std::uint32_t inherited = kNoMatch;
       for (std::uint32_t mask = short_lengths; mask != 0;
            mask &= mask - 1) {
         const int length = std::countr_zero(mask);
@@ -487,18 +443,25 @@ auto BasicLpmIndex<Family>::update(std::span<const Entry> upserts,
         const auto it = std::lower_bound(entries_.cbegin(), entries_.cend(),
                                          Entry{cover, 0}, entry_less);
         if (it != entries_.cend() && it->prefix == cover) {
-          trie_insert(bt, *it);
+          inherited = it->value;
         }
       }
-      // Prefixes of /16 and longer whose network lies inside the block.
-      for (auto it = std::lower_bound(entries_.cbegin(), entries_.cend(),
-                                      block, block_lower);
-           it != entries_.cend() &&
-           Family::first_key(it->prefix).top16() == block;
-           ++it) {
-        if (it->prefix.length() >= kRootBits) trie_insert(bt, *it);
+      // Entries whose network lies inside the block: those of /16 and
+      // shorter start at its first address and sort before the rest.
+      auto begin = std::lower_bound(entries_.cbegin(), entries_.cend(),
+                                    block, block_lower);
+      for (; begin != entries_.cend() &&
+             Family::first_key(begin->prefix).top16() == block &&
+             begin->prefix.length() <= kRootBits;
+           ++begin) {
+        if (begin->prefix.length() == kRootBits) inherited = begin->value;
       }
-      patch_block(block, bt);
+      auto end = begin;
+      while (end != entries_.cend() &&
+             Family::first_key(end->prefix).top16() == block) {
+        ++end;
+      }
+      place_block(block, std::span<const Entry>(begin, end), inherited);
     }
   }
 

@@ -25,7 +25,11 @@
 //     is a handful of dependent loads and never backtracks.
 //   * values are leaf-pushed during construction: every slot already knows
 //     the best (longest) match covering it, which is what makes the
-//     no-backtracking lookup correct.
+//     no-backtracking lookup correct. Construction is one recursive pass
+//     over the sorted entry table: in (network, length) order an ancestor
+//     precedes everything it contains, so painting each node's slots in
+//     table order leaves every slot with its longest match, and the
+//     entries below one slot form a contiguous sub-run for its child.
 //
 // The batched lookup_many() is the API the sharded scan pipeline uses: a
 // shard hands over its whole address block (Family::AddressWord elements:
@@ -312,15 +316,11 @@ class BasicLpmIndex {
     return a.prefix < b.prefix;
   }
 
-  struct BuildNode;
-  static std::vector<BuildNode> build_trie(std::span<const Entry> entries);
-  static void trie_insert(std::vector<BuildNode>& bt, const Entry& entry);
-  void populate(std::uint32_t index, const std::vector<BuildNode>& bt,
-                std::int32_t node, int depth, std::uint32_t inherited);
-  void fill_root(const std::vector<BuildNode>& bt, std::int32_t node,
-                 int depth, std::uint32_t path, std::uint32_t inherited);
   void rebuild_all();
-  void patch_block(std::uint32_t block, const std::vector<BuildNode>& bt);
+  void place_block(std::uint32_t block, std::span<const Entry> run,
+                   std::uint32_t inherited);
+  void build_node(std::uint32_t index, std::span<const Entry> run, int depth,
+                  std::uint32_t inherited);
   // Re-anchors the read-side spans on the owned vectors (no-op for a
   // borrowed index, whose spans point at caller storage).
   void sync_views() noexcept;

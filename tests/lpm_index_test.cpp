@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "trie/lpm_index6.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace tass::trie {
@@ -112,6 +114,169 @@ TEST(LpmIndexTest, ValueOutOfRangeThrows) {
   const std::vector<LpmIndex::Entry> table{
       {pfx("10.0.0.0/8"), LpmIndex::kNoMatch}};
   EXPECT_THROW(LpmIndex{table}, Error);
+}
+
+// ---- pinned build layout ---------------------------------------------
+
+// FNV-1a over the read arrays, field by field. The TSIM state image
+// serialises these arrays verbatim, so any drift in the layout a build or
+// a patch produces changes image bytes; the constants below pin it.
+template <class Family>
+std::uint64_t layout_hash(const BasicLpmIndex<Family>& index) {
+  const auto raw = index.raw();
+  util::Fnv1a64 hasher;
+  hasher.update_u64(raw.root.size());
+  for (const std::uint32_t word : raw.root) hasher.update_u32(word);
+  hasher.update_u64(raw.nodes.size());
+  for (const auto& node : raw.nodes) {
+    hasher.update_u64(node.child_bits);
+    hasher.update_u64(node.leaf_bits);
+    hasher.update_u32(node.child_base);
+    hasher.update_u32(node.leaf_base);
+  }
+  hasher.update_u64(raw.leaves.size());
+  for (const std::uint32_t leaf : raw.leaves) hasher.update_u32(leaf);
+  return hasher.digest();
+}
+
+// Hand-picked edges (a /0, short covers, a /16 with longer descendants, a
+// /15 spanning two root blocks, the top address) plus deterministic
+// random chains nested under a few /12 roots.
+std::vector<LpmIndex::Entry> pinned_nested_table4() {
+  std::vector<LpmIndex::Entry> table{
+      {pfx("0.0.0.0/0"), 1},          {pfx("10.0.0.0/8"), 2},
+      {pfx("10.1.0.0/16"), 3},        {pfx("10.1.0.0/17"), 4},
+      {pfx("10.1.128.0/20"), 5},      {pfx("10.1.200.0/24"), 6},
+      {pfx("10.1.200.7/32"), 7},      {pfx("10.1.255.255/32"), 8},
+      {pfx("10.2.0.0/15"), 9},        {pfx("10.3.4.0/22"), 10},
+      {pfx("192.0.2.0/24"), 11},      {pfx("192.0.2.128/25"), 12},
+      {pfx("255.255.255.255/32"), 13},
+  };
+  util::Rng rng(4242);
+  std::vector<std::uint32_t> roots;
+  for (int i = 0; i < 24; ++i) {
+    roots.push_back(static_cast<std::uint32_t>(rng.bounded(1ull << 32)) &
+                    0xfff00000u);
+  }
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const std::uint32_t root = roots[rng.bounded(roots.size())];
+    const auto host = static_cast<std::uint32_t>(rng.bounded(1ull << 20));
+    const int length = 12 + static_cast<int>(rng.bounded(21));
+    table.push_back(
+        {net::Prefix(net::Ipv4Address(root | host), length), 100 + i});
+  }
+  return table;
+}
+
+// Pairwise-disjoint random prefixes, the shape of an m-partition.
+std::vector<LpmIndex::Entry> pinned_disjoint_table4() {
+  util::Rng rng(2424);
+  std::vector<net::Prefix> drawn;
+  for (int i = 0; i < 4000; ++i) {
+    drawn.emplace_back(
+        net::Ipv4Address(static_cast<std::uint32_t>(rng.bounded(1ull << 32))),
+        10 + static_cast<int>(rng.bounded(21)));
+  }
+  std::sort(drawn.begin(), drawn.end());
+  std::vector<LpmIndex::Entry> table;
+  for (const net::Prefix prefix : drawn) {
+    if (!table.empty() &&
+        prefix.network().value() <= table.back().prefix.last().value()) {
+      continue;
+    }
+    table.push_back({prefix, static_cast<std::uint32_t>(table.size())});
+  }
+  return table;
+}
+
+net::Ipv6Prefix pfx6(std::string_view text) {
+  return net::Ipv6Prefix::parse_or_throw(text);
+}
+
+// The v6 twin: a ::/0, a /16 with longer descendants, prefixes on both
+// sides of the 64-bit hi/lo edge, and random chains under a few /32s.
+std::vector<LpmIndex6::Entry> pinned_nested_table6() {
+  std::vector<LpmIndex6::Entry> table{
+      {pfx6("::/0"), 1},
+      {pfx6("2001::/16"), 2},
+      {pfx6("2001:db8::/32"), 3},
+      {pfx6("2001:db8::/48"), 4},
+      {pfx6("2001:db8:0:ff00::/56"), 5},
+      {pfx6("2001:db8:0:fff0::/60"), 6},
+      {pfx6("2001:db8:0:ffff::/64"), 7},
+      {pfx6("2001:db8:0:ffff:8000::/65"), 8},
+      {pfx6("2001:db8:0:ffff:ff00::/72"), 9},
+      {pfx6("2001:db8:0:ffff::1/128"), 10},
+      {pfx6("2001:db8:0:ffff::/127"), 11},
+      {pfx6("2002::/15"), 12},
+      {pfx6("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"), 13},
+  };
+  util::Rng rng(6464);
+  std::vector<std::uint64_t> roots;
+  for (int i = 0; i < 16; ++i) {
+    roots.push_back(rng() & 0xffffffff00000000ull);
+  }
+  for (std::uint32_t i = 0; i < 1500; ++i) {
+    const std::uint64_t hi = roots[rng.bounded(roots.size())] |
+                             (rng() & 0x00000000ffffffffull);
+    const int length = 32 + static_cast<int>(rng.bounded(97));
+    table.push_back(
+        {net::Ipv6Prefix(net::Ipv6Address(hi, rng()), length), 100 + i});
+  }
+  return table;
+}
+
+std::vector<LpmIndex6::Entry> pinned_disjoint_table6() {
+  util::Rng rng(4646);
+  std::vector<net::Ipv6Prefix> drawn;
+  for (int i = 0; i < 3000; ++i) {
+    drawn.emplace_back(net::Ipv6Address(rng() & 0x3fffffffffffffffull, rng()),
+                       20 + static_cast<int>(rng.bounded(109)));
+  }
+  std::sort(drawn.begin(), drawn.end());
+  std::vector<LpmIndex6::Entry> table;
+  for (const net::Ipv6Prefix prefix : drawn) {
+    if (!table.empty() && net::Ipv6Family::first_key(prefix) <=
+                              net::Ipv6Family::last_key(table.back().prefix)) {
+      continue;
+    }
+    table.push_back({prefix, static_cast<std::uint32_t>(table.size())});
+  }
+  return table;
+}
+
+TEST(LpmIndexTest, BuildLayoutIsPinned) {
+  const LpmIndex nested4(pinned_nested_table4());
+  const LpmIndex disjoint4(pinned_disjoint_table4());
+  const LpmIndex6 nested6(pinned_nested_table6());
+  const LpmIndex6 disjoint6(pinned_disjoint_table6());
+  EXPECT_EQ(layout_hash(nested4), 0xde4609132b6caae2ull);
+  EXPECT_EQ(layout_hash(disjoint4), 0x05be02a4f6bfd449ull);
+  EXPECT_EQ(layout_hash(nested6), 0x5f1f4033ecb8cc02ull);
+  EXPECT_EQ(layout_hash(disjoint6), 0x574dcd5ab23b0152ull);
+
+  // Patches append replacement subtrees; their layout reaches images too
+  // (the stream reactor seals patched partitions).
+  LpmIndex patched4 = nested4;
+  const std::vector<LpmIndex::Entry> upserts4{
+      {pfx("10.1.200.0/25"), 20},  // under the /16 and the /8
+      {pfx("10.0.0.0/8"), 21},     // re-value a short cover
+      {pfx("10.3.4.0/24"), 22},    // under the /15
+      {pfx("172.16.0.0/12"), 23},  // new short prefix, 16 blocks
+  };
+  const std::vector<net::Prefix> erases4{pfx("10.1.128.0/20")};
+  ASSERT_FALSE(patched4.update(upserts4, erases4).rebuilt);
+  EXPECT_EQ(layout_hash(patched4), 0xb855a6e78de72afbull);
+
+  LpmIndex6 patched6 = nested6;
+  const std::vector<LpmIndex6::Entry> upserts6{
+      {pfx6("2001:db8:0:ffff:c000::/66"), 20},
+      {pfx6("2001::/16"), 21},
+      {pfx6("2003:1:2:3::/64"), 22},
+  };
+  const std::vector<net::Ipv6Prefix> erases6{pfx6("2001:db8:0:ffff::/64")};
+  ASSERT_FALSE(patched6.update(upserts6, erases6).rebuilt);
+  EXPECT_EQ(layout_hash(patched6), 0xe724c58ab66554e1ull);
 }
 
 TEST(LpmIndexTest, LookupManyMatchesScalarLookup) {
@@ -313,55 +478,79 @@ TEST(LpmIndexUpdateTest, RepeatedPatchesCompactInsteadOfGrowingForever) {
   expect_matches_fresh_rebuild(index);
 }
 
+// Random churn against a fresh rebuild on two table shapes: lengths
+// spread over /8../32 with 40-change batches, and a table where a third of
+// the entries are /4../16 covers with 4-change batches. In the second,
+// most batches patch blocks beneath shorter prefixes (inherited values
+// from the cover probes and the block's own /16) instead of rebuilding.
 TEST(LpmIndexUpdateTest, RandomizedChurnMatchesFreshRebuild) {
-  for (const std::uint64_t seed : {7ull, 77ull, 777ull}) {
-    util::Rng rng(seed);
-    std::vector<LpmIndex::Entry> table;
-    for (int i = 0; i < 3000; ++i) {
-      const auto network =
-          static_cast<std::uint32_t>(rng.bounded(1ull << 32));
-      const int length = 8 + static_cast<int>(rng.bounded(25));
-      table.push_back({net::Prefix(net::Ipv4Address(network), length),
-                       static_cast<std::uint32_t>(rng.bounded(100000))});
-    }
-    LpmIndex index(table);
-    for (int step = 0; step < 8; ++step) {
-      std::vector<LpmIndex::Entry> upserts;
-      std::vector<net::Prefix> erases;
-      for (int k = 0; k < 40; ++k) {
-        const auto roll = rng.bounded(3);
-        if (roll == 0 && !index.entries().empty()) {
-          erases.push_back(
-              index.entries()[static_cast<std::size_t>(
-                                  rng.bounded(index.entries().size()))]
-                  .prefix);
-        } else if (roll == 1 && !index.entries().empty()) {
-          const auto& entry = index.entries()[static_cast<std::size_t>(
-              rng.bounded(index.entries().size()))];
-          upserts.push_back(
-              {entry.prefix, static_cast<std::uint32_t>(rng.bounded(100000))});
-        } else {
-          const auto network =
-              static_cast<std::uint32_t>(rng.bounded(1ull << 32));
-          upserts.push_back(
-              {net::Prefix(net::Ipv4Address(network),
-                           8 + static_cast<int>(rng.bounded(25))),
-               static_cast<std::uint32_t>(rng.bounded(100000))});
-        }
+  struct Shape {
+    int batch;
+    int (*draw_length)(util::Rng&);
+  };
+  const Shape shapes[] = {
+      {40,
+       [](util::Rng& rng) { return 8 + static_cast<int>(rng.bounded(25)); }},
+      {4,
+       [](util::Rng& rng) {
+         return rng.bounded(3) == 0 ? 4 + static_cast<int>(rng.bounded(13))
+                                    : 17 + static_cast<int>(rng.bounded(16));
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    std::size_t patched = 0;
+    for (const std::uint64_t seed : {7ull, 77ull, 777ull}) {
+      util::Rng rng(seed);
+      std::vector<LpmIndex::Entry> table;
+      for (int i = 0; i < 3000; ++i) {
+        const auto network =
+            static_cast<std::uint32_t>(rng.bounded(1ull << 32));
+        const int length = shape.draw_length(rng);
+        table.push_back({net::Prefix(net::Ipv4Address(network), length),
+                         static_cast<std::uint32_t>(rng.bounded(100000))});
       }
-      // A prefix drawn for both sides would (correctly) throw; resolve the
-      // collision the way a partition does — keep the upsert.
-      std::erase_if(erases, [&](net::Prefix p) {
-        return std::any_of(upserts.begin(), upserts.end(),
-                           [&](const LpmIndex::Entry& e) {
-                             return e.prefix == p;
-                           });
-      });
-      std::sort(erases.begin(), erases.end());
-      erases.erase(std::unique(erases.begin(), erases.end()), erases.end());
-      index.update(upserts, erases);
-      expect_matches_fresh_rebuild(index);
+      LpmIndex index(table);
+      for (int step = 0; step < 8; ++step) {
+        std::vector<LpmIndex::Entry> upserts;
+        std::vector<net::Prefix> erases;
+        for (int k = 0; k < shape.batch; ++k) {
+          const auto roll = rng.bounded(3);
+          if (roll == 0 && !index.entries().empty()) {
+            erases.push_back(
+                index.entries()[static_cast<std::size_t>(
+                                    rng.bounded(index.entries().size()))]
+                    .prefix);
+          } else if (roll == 1 && !index.entries().empty()) {
+            const auto& entry = index.entries()[static_cast<std::size_t>(
+                rng.bounded(index.entries().size()))];
+            upserts.push_back({entry.prefix, static_cast<std::uint32_t>(
+                                                 rng.bounded(100000))});
+          } else {
+            const auto network =
+                static_cast<std::uint32_t>(rng.bounded(1ull << 32));
+            upserts.push_back(
+                {net::Prefix(net::Ipv4Address(network),
+                             shape.draw_length(rng)),
+                 static_cast<std::uint32_t>(rng.bounded(100000))});
+          }
+        }
+        // A prefix drawn for both sides would (correctly) throw; resolve
+        // the collision the way a partition does — keep the upsert.
+        std::erase_if(erases, [&](net::Prefix p) {
+          return std::any_of(upserts.begin(), upserts.end(),
+                             [&](const LpmIndex::Entry& e) {
+                               return e.prefix == p;
+                             });
+        });
+        std::sort(erases.begin(), erases.end());
+        erases.erase(std::unique(erases.begin(), erases.end()),
+                     erases.end());
+        const auto stats = index.update(upserts, erases);
+        if (!stats.rebuilt && !stats.compacted) ++patched;
+        expect_matches_fresh_rebuild(index);
+      }
     }
+    EXPECT_GT(patched, 0u) << "batch " << shape.batch;
   }
 }
 

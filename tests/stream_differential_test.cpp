@@ -353,6 +353,12 @@ TEST(StreamDifferentialTest, LockstepReplayIsBitIdenticalToBatch) {
       feed_fragmented(reactor, wire, rng, max_fragment);
       reactor.flush();
 
+      // The step published one plan, fingerprinted with the topology it
+      // sealed.
+      ASSERT_EQ(plans.size(), static_cast<std::size_t>(step + 1));
+      EXPECT_EQ(plans.back().fingerprint,
+                bgp::partition_fingerprint(reactor.partition()));
+
       // Bit-identical state, every layer.
       ASSERT_EQ(reactor.table(), table);
       expect_partitions_bit_identical(reactor.partition(), partition);
@@ -408,6 +414,14 @@ TEST(StreamDifferentialTest, WholeStreamReplayMatchesBatchSemantically) {
   options.max_batch = 7;  // force many mid-step batch boundaries
   stream::StreamReactor reactor(world.table, counts, options);
   reactor.set_rescanner(&oracle, &engine);
+  // The sync API publishes on this thread, right after the batch that
+  // changed the topology: every plan names the partition held then.
+  std::size_t published = 0;
+  reactor.set_publisher([&](stream::PublishedPlan plan) {
+    ++published;
+    EXPECT_EQ(plan.fingerprint,
+              bgp::partition_fingerprint(reactor.partition()));
+  });
 
   // Concatenate the whole trace, then replay both sides.
   std::vector<std::byte> wire;
@@ -429,6 +443,7 @@ TEST(StreamDifferentialTest, WholeStreamReplayMatchesBatchSemantically) {
   feed_fragmented(reactor, wire, rng, 4096);
   reactor.flush();
   reactor.finish();
+  EXPECT_GT(published, static_cast<std::size_t>(kSteps));
 
   // Queue folding may collapse announce→withdraw→announce chains across
   // steps, but the surviving state must be the batch path's final state.

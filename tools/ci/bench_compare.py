@@ -12,9 +12,11 @@ baselines.
 Headline metrics (direction-aware):
   micro_lpm       lpm_lookups_per_sec, lpm_batch_lookups_per_sec,
                   lpm_simd_lookups_per_sec (higher is better; the simd
-                  key appears only when the AVX2 kernel ran)
+                  key appears only when the AVX2 kernel ran),
+                  lpm_build_ms (lower is better)
   micro_lpm6      lpm6_lookups_per_sec, lpm6_batch_lookups_per_sec,
-                  lpm6_simd_lookups_per_sec (higher is better)
+                  lpm6_simd_lookups_per_sec (higher is better),
+                  lpm6_build_ms (lower is better)
   micro_delta     delta_ms per churn rate (lower is better)
   micro_coldstart load_ms (lower is better), speedup (higher is better)
   micro_serve     qps_per_core (higher is better), p99_us and
@@ -120,11 +122,15 @@ def headline_metrics(record):
                     "lpm_simd_lookups_per_sec"):
             if key in record:
                 yield key, float(record[key]), True
+        if "lpm_build_ms" in record:
+            yield "lpm_build_ms", float(record["lpm_build_ms"]), False
     elif bench == "micro_lpm6":
         for key in ("lpm6_lookups_per_sec", "lpm6_batch_lookups_per_sec",
                     "lpm6_simd_lookups_per_sec"):
             if key in record:
                 yield key, float(record[key]), True
+        if "lpm6_build_ms" in record:
+            yield "lpm6_build_ms", float(record["lpm6_build_ms"]), False
     elif bench == "micro_delta":
         for rate in record.get("rates", []):
             if "delta_ms" in rate:
