@@ -1,9 +1,9 @@
 // Micro-benchmarks for the substrate hot paths (google-benchmark):
 // longest-prefix match (LpmIndex build, scalar and batched lookup),
 // deaggregation, interval-set algebra, density ranking and selection, snapshot
-// membership and the rank-directory index behind the batched oracle, and
-// the text ingest (hitlist and pfx2as parsing) — the operations every
-// TASS scan cycle is built from.
+// membership and the rank-directory index behind the batched oracle, v6
+// candidate admission, and the text ingest (hitlist and pfx2as parsing) —
+// the operations every TASS scan cycle is built from.
 //
 // For machine-readable output (BENCH tracking), run with
 //   micro_substrates --benchmark_format=json
@@ -24,6 +24,8 @@
 #include "net/interval.hpp"
 #include "net/ipv6.hpp"
 #include "net/prefix.hpp"
+#include "scan/blocklist.hpp"
+#include "scan/scope6.hpp"
 #include "trie/lpm_index.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -233,6 +235,51 @@ void BM_ThreadPoolForEachShard(benchmark::State& state) {
                           64);
 }
 BENCHMARK(BM_ThreadPoolForEachShard)->Arg(1)->Arg(4);
+
+// v6 candidate admission: a shuffled target list over a scope of a few
+// thousand selected prefixes, shaped like a v6 plan (/32-/40 allocations
+// under one /16, hosts in random /64s, blocked /48 holes).
+struct Scope6World {
+  scan::ScanScope6 scope;
+  std::vector<net::Ipv6Address> candidates;
+};
+
+const Scope6World& scope6_world() {
+  static const Scope6World world = [] {
+    constexpr std::uint64_t kSlots = 6000;
+    util::Rng rng(66);
+    std::vector<net::Ipv6Prefix> selected;
+    scan::Blocklist blocklist;
+    for (std::uint64_t slot = 0; slot < kSlots; ++slot) {
+      if (!rng.chance(0.5)) continue;
+      const net::Ipv6Address network((0x2a00ULL << 48) | (slot << 32), 0);
+      selected.emplace_back(network, 32 + 4 * static_cast<int>(rng.bounded(3)));
+      if (rng.chance(0.05)) {
+        blocklist.add(net::Ipv6Prefix(
+            net::Ipv6Address(network.hi() | (rng() & 0xffff0000ULL), 0), 48));
+      }
+    }
+    Scope6World out{scan::ScanScope6(selected, blocklist), {}};
+    for (int i = 0; i < 200000; ++i) {
+      const std::uint64_t hi = (0x2a00ULL << 48) | (rng.bounded(kSlots) << 32) |
+                               (rng() & 0xffffffffULL);
+      out.candidates.emplace_back(hi, rng.chance(0.5) ? 1 : rng() | 0x100);
+    }
+    return out;
+  }();
+  return world;
+}
+
+void BM_ScanScope6AddCandidates(benchmark::State& state) {
+  const Scope6World& world = scope6_world();
+  for (auto _ : state) {
+    scan::ScanScope6 scope = world.scope;
+    benchmark::DoNotOptimize(scope.add_candidates(world.candidates));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(world.candidates.size()));
+}
+BENCHMARK(BM_ScanScope6AddCandidates);
 
 // Text ingest: fixed-size generated documents, so a regression in the
 // line/field scans or the address parsers shows here on its own.

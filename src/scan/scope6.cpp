@@ -1,12 +1,132 @@
 #include "scan/scope6.hpp"
 
+#include <bit>
+#include <numeric>
+
 namespace tass::scan {
+
+namespace {
+
+using net::Ipv6Address;
+
+constexpr Ipv6Address kAllOnes(~0ULL, ~0ULL);
+
+// The neighbours of an address. Callers never step past either end.
+Ipv6Address next(Ipv6Address address) {
+  return Ipv6Address(address.hi() + (address.lo() == ~0ULL), address.lo() + 1);
+}
+Ipv6Address prev(Ipv6Address address) {
+  return Ipv6Address(address.hi() - (address.lo() == 0), address.lo() - 1);
+}
+
+// Sorts `in` into `out` (same size). A v6 target list sits under one
+// short common prefix, so a counting scatter keys the bits just below it
+// (about one bucket per two addresses, at most 2^max_bits). A bucket that
+// is still large (hosts cluster in a few subnets) is copied to `scratch`
+// and sorted the same way below its own, longer common prefix, on at most
+// 8 bits so the bucket cursors alive down a deep recursion stay small; a
+// small bucket goes to std::sort. `in` is read in full before any bucket
+// reuses `scratch`.
+void radix_sort(std::span<const Ipv6Address> in, std::span<Ipv6Address> out,
+                int max_bits, std::vector<Ipv6Address>& scratch) {
+  std::uint64_t hi_diff = 0;
+  std::uint64_t lo_diff = 0;
+  for (const Ipv6Address address : in) {
+    hi_diff |= address.hi() ^ in.front().hi();
+    lo_diff |= address.lo() ^ in.front().lo();
+  }
+  if ((hi_diff | lo_diff) == 0) {  // all equal
+    std::ranges::copy(in, out.begin());
+    return;
+  }
+  const int common = hi_diff != 0 ? std::countl_zero(hi_diff)
+                                  : 64 + std::countl_zero(lo_diff);
+  const int bits =
+      std::min(max_bits, static_cast<int>(std::bit_width(in.size())) - 1);
+  const auto bucket_of = [common, bits](Ipv6Address address) {
+    std::uint64_t below = address.hi();  // the 64 bits after the prefix
+    if (common >= 64) {
+      below = address.lo() << (common - 64);
+    } else if (common > 0) {
+      below = (address.hi() << common) | (address.lo() >> (64 - common));
+    }
+    return static_cast<std::size_t>(below >> (64 - bits));
+  };
+  std::vector<std::size_t> cursor(std::size_t{1} << bits, 0);
+  for (const Ipv6Address address : in) ++cursor[bucket_of(address)];
+  std::exclusive_scan(cursor.begin(), cursor.end(), cursor.begin(),
+                      std::size_t{0});
+  for (const Ipv6Address address : in) {
+    out[cursor[bucket_of(address)]++] = address;
+  }
+  std::size_t begin = 0;
+  for (const std::size_t end : cursor) {  // cursor[b] is now bucket b's end
+    const auto bucket = out.subspan(begin, end - begin);
+    if (bucket.size() > 32) {
+      scratch.assign(bucket.begin(), bucket.end());
+      radix_sort(scratch, bucket, 8, scratch);
+    } else if (bucket.size() > 1) {
+      std::sort(bucket.begin(), bucket.end());
+    }
+    begin = end;
+  }
+}
+
+// An ascending copy of `addresses`.
+std::vector<Ipv6Address> sorted_copy(std::span<const Ipv6Address> addresses) {
+  if (std::is_sorted(addresses.begin(), addresses.end())) {
+    return {addresses.begin(), addresses.end()};
+  }
+  std::vector<Ipv6Address> sorted(addresses.size());
+  std::vector<Ipv6Address> scratch;
+  radix_sort(addresses, sorted, 16, scratch);
+  return sorted;
+}
+
+}  // namespace
+
+std::vector<ScanScope6::Range> ScanScope6::union_of(
+    std::span<const net::Ipv6Prefix> prefixes) {
+  std::vector<net::Ipv6Prefix> sorted(prefixes.begin(), prefixes.end());
+  std::sort(sorted.begin(), sorted.end());
+  // In (network, length) order a prefix either extends the open range
+  // (nested in it, or starting right after it) or starts a new one.
+  std::vector<Range> ranges;
+  for (const net::Ipv6Prefix& prefix : sorted) {
+    if (!ranges.empty() && (ranges.back().last == kAllOnes ||
+                            prefix.first() <= next(ranges.back().last))) {
+      ranges.back().last = std::max(ranges.back().last, prefix.last());
+    } else {
+      ranges.push_back({prefix.first(), prefix.last()});
+    }
+  }
+  return ranges;
+}
 
 ScanScope6::ScanScope6(std::span<const net::Ipv6Prefix> prefixes,
                        const Blocklist& blocklist)
-    : prefixes_(prefixes.begin(), prefixes.end()),
-      whitelist_(trie::LpmIndex6::from_prefixes(prefixes)),
-      blocked_(trie::LpmIndex6::from_prefixes(blocklist.blocked6())) {}
+    : prefixes_(prefixes.begin(), prefixes.end()) {
+  // One merge walk of the selected ranges against the blocked ones. Both
+  // ascend; a block that runs past a selected range stays current, as it
+  // may reach into the next one.
+  const std::vector<Range> blocked = union_of(blocklist.blocked6());
+  auto block = blocked.begin();
+  for (Range range : union_of(prefixes)) {
+    while (block != blocked.end() && block->last < range.first) ++block;
+    bool open = true;  // range.first..range.last is left to emit
+    for (; block != blocked.end() && block->first <= range.last; ++block) {
+      if (range.first < block->first) {
+        ranges_.push_back({range.first, prev(block->first)});
+      }
+      if (block->last >= range.last) {
+        open = false;
+        break;
+      }
+      range.first = next(block->last);
+    }
+    if (open) ranges_.push_back(range);
+  }
+}
 
 ScanScope6 ScanScope6::of_reduced(std::span<const net::Ipv6Prefix> prefixes,
                                   const Blocklist& blocklist,
@@ -20,12 +140,23 @@ ScanScope6 ScanScope6::of_reduced(std::span<const net::Ipv6Prefix> prefixes,
 
 std::size_t ScanScope6::add_candidates(
     std::span<const net::Ipv6Address> addresses) {
+  std::vector<Ipv6Address> batch = sorted_copy(addresses);
+  // Both sides ascend, so one forward pass over the ranges admits the
+  // batch, compacting it in place.
   std::size_t admitted = 0;
-  for (const net::Ipv6Address address : addresses) {
-    if (contains(address)) {
-      candidates_.push_back(address);
-      ++admitted;
-    }
+  auto range = ranges_.begin();
+  for (const Ipv6Address address : batch) {
+    while (range != ranges_.end() && range->last < address) ++range;
+    if (range == ranges_.end()) break;
+    if (range->first <= address) batch[admitted++] = address;
+  }
+  batch.resize(admitted);
+  if (candidates_.empty()) {
+    candidates_ = std::move(batch);
+  } else {
+    const auto middle =
+        candidates_.insert(candidates_.end(), batch.begin(), batch.end());
+    std::inplace_merge(candidates_.begin(), middle, candidates_.end());
   }
   return admitted;
 }

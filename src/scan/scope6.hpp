@@ -5,12 +5,16 @@
 // them; that is meaningless at 2^128. A v6 cycle instead probes a
 // *candidate set*: known-or-conjectured-active addresses (hitlist
 // entries, low interface identifiers, aliased-prefix seeds) filtered to
-// the selected prefixes minus the blocklist. Membership rides on two
-// LpmIndex6 instances (whitelist and blocklist), so contains() stays a
-// handful of dependent loads; the candidate list is the enumeration
-// view.
+// the selected prefixes minus the blocklist. The scope itself is one
+// ascending list of disjoint [first, last] address ranges (the union of
+// the selected prefixes minus the union of the blocked ones, subtracted
+// once by a merge walk): contains() is one binary search over it, and
+// add_candidates() sorts its batch and merge-walks it against the
+// ranges, so the candidate list comes out in ascending address order —
+// the order an intersection with a sorted host set wants.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,7 +22,6 @@
 #include "bgp/reduce.hpp"
 #include "net/ipv6.hpp"
 #include "scan/blocklist.hpp"
-#include "trie/lpm_index6.hpp"
 
 namespace tass::scan {
 
@@ -27,14 +30,14 @@ class ScanScope6 {
   ScanScope6() = default;
 
   /// Scope = union(prefixes) - blocklist (the blocklist's v6 side).
-  /// Duplicate/nested whitelist prefixes are fine (membership is an LPM
-  /// cover test).
+  /// Duplicate/nested whitelist prefixes are fine (the ranges are their
+  /// union).
   ScanScope6(std::span<const net::Ipv6Prefix> prefixes,
              const Blocklist& blocklist);
 
   /// Scope from a reduced (overshoot-bounded) selection: the whitelist
-  /// is first collapsed by bgp::reduce, shrinking the LpmIndex6 build
-  /// and the prefix list carried around, at the price of up to
+  /// is first collapsed by bgp::reduce, shrinking the range list and
+  /// the prefix list carried around, at the price of up to
   /// params.max_overshoot extra admitted space. Every candidate the
   /// unreduced scope admits is still admitted (the blocklist still
   /// applies, so overshoot never resurrects blocked space).
@@ -46,15 +49,22 @@ class ScanScope6 {
 
   /// True if the address is inside a selected prefix and not blocked.
   bool contains(net::Ipv6Address addr) const noexcept {
-    return whitelist_.covers(addr) && !blocked_.covers(addr);
+    // The first range ending at or after addr is the only one that can
+    // hold it.
+    const auto range =
+        std::ranges::lower_bound(ranges_, addr, {}, &Range::last);
+    return range != ranges_.end() && range->first <= addr;
   }
 
-  /// Filters `addresses` into the candidate set, in input order,
-  /// dropping duplicates of already-admitted candidates is the caller's
-  /// concern (hitlists are conventionally deduplicated). Returns how
-  /// many were admitted.
+  /// Admits the in-scope addresses of `addresses` into the candidate
+  /// set, which stays in ascending address order (a later batch is
+  /// merged into the earlier ones). Duplicates are kept, within a batch
+  /// and across batches: deduplicating is the caller's concern
+  /// (hitlists are conventionally deduplicated). Returns how many of
+  /// this batch were admitted.
   std::size_t add_candidates(std::span<const net::Ipv6Address> addresses);
 
+  /// The admitted candidates, ascending, duplicates kept.
   std::span<const net::Ipv6Address> candidates() const noexcept {
     return candidates_;
   }
@@ -67,10 +77,17 @@ class ScanScope6 {
   bool empty() const noexcept { return prefixes_.empty(); }
 
  private:
+  struct Range {
+    net::Ipv6Address first;
+    net::Ipv6Address last;
+  };
+  /// The union of `prefixes` as ascending, disjoint ranges.
+  static std::vector<Range> union_of(
+      std::span<const net::Ipv6Prefix> prefixes);
+
   std::vector<net::Ipv6Prefix> prefixes_;
+  std::vector<Range> ranges_;  // ascending, disjoint, each non-empty
   std::vector<net::Ipv6Address> candidates_;
-  trie::LpmIndex6 whitelist_;
-  trie::LpmIndex6 blocked_;
 };
 
 }  // namespace tass::scan

@@ -234,19 +234,144 @@ TEST(ScanScope6, FiltersCandidates) {
   EXPECT_FALSE(scope.contains(a6("2001:db8:5000:bad::1")));  // blocked
   EXPECT_FALSE(scope.contains(a6("2001:db8:6000::1")));      // unselected
 
-  std::vector<net::Ipv6Address> hitlist;
+  std::vector<net::Ipv6Address> in_scope;
   for (std::uint64_t i = 0; i < 200; ++i) {
-    hitlist.emplace_back(0x20010db850000000ULL, i);        // in scope
+    in_scope.emplace_back(0x20010db850000000ULL, i);
   }
-  hitlist.push_back(a6("2001:db8:5000:bad::1"));           // blocked
-  hitlist.push_back(a6("2001:db8:6000::1"));               // outside
+  std::vector<net::Ipv6Address> hitlist = in_scope;
+  hitlist.push_back(a6("2001:db8:5000:bad::1"));  // blocked
+  hitlist.push_back(a6("2001:db8:6000::1"));      // outside
+  util::Rng rng(23);
+  rng.shuffle(std::span(hitlist));
+  ASSERT_FALSE(std::ranges::is_sorted(hitlist));
   EXPECT_EQ(scope.add_candidates(hitlist), 200u);
   EXPECT_EQ(scope.candidate_count(), 200u);
 
   // The admitted candidates are exactly the in-scope addresses, in
-  // input order.
-  EXPECT_TRUE(std::ranges::equal(scope.candidates(),
-                                 std::span(hitlist).first(200)));
+  // ascending order whatever the input order.
+  EXPECT_TRUE(std::ranges::equal(scope.candidates(), in_scope));
+}
+
+// The address `delta` (+1 or -1) away, wrapping around the space.
+net::Ipv6Address step(net::Ipv6Address address, int delta) {
+  if (delta > 0) {
+    return {address.hi() + (address.lo() == ~0ULL), address.lo() + 1};
+  }
+  return {address.hi() - (address.lo() == 0), address.lo() - 1};
+}
+
+TEST(ScanScope6, AdmissionMatchesPrefixReference) {
+  constexpr int kLengths[] = {1,  8,  16, 31, 32, 48, 56,  63, 64,
+                              65, 72, 96, 112, 120, 127, 128};
+  const net::Ipv6Address all_ones(~0ULL, ~0ULL);
+  std::size_t admitted_total = 0;
+  std::size_t rejected_total = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    util::Rng rng(util::mix64(seed, 0x5c09e6));
+    // A few anchors, so prefixes of different lengths around one anchor
+    // nest; `::` and the all-ones address put ranges at both ends of
+    // the space.
+    std::vector<net::Ipv6Address> anchors = {net::Ipv6Address(), all_ones};
+    for (int a = 0; a < 4; ++a) {
+      const std::uint64_t hi = 0x20010db800000000ULL | rng.bounded(1 << 20);
+      const std::uint64_t lo = rng.chance(0.3) ? ~0ULL : rng();
+      anchors.emplace_back(hi, lo);
+    }
+    const auto random_prefix = [&](int min_length) {
+      const net::Ipv6Address anchor = anchors[rng.bounded(anchors.size())];
+      int length = kLengths[rng.bounded(std::size(kLengths))];
+      length = std::max(length, min_length);
+      return net::Ipv6Prefix(anchor, length);
+    };
+
+    std::vector<net::Ipv6Prefix> whitelist;
+    const std::size_t selected_count = 1 + rng.bounded(12);
+    for (std::size_t i = 0; i < selected_count; ++i) {
+      whitelist.push_back(random_prefix(0));
+    }
+    if (seed % 5 == 0) whitelist.emplace_back();  // a /0
+    whitelist.push_back(whitelist[rng.bounded(whitelist.size())]);  // a twin
+
+    scan::Blocklist blocklist;
+    std::vector<net::Ipv6Prefix> blocked;
+    const std::size_t block_count = 1 + rng.bounded(6);
+    for (std::size_t i = 0; i < block_count; ++i) {
+      const net::Ipv6Prefix base = whitelist[rng.bounded(whitelist.size())];
+      const int longer =
+          std::min(128, base.length() + 1 + static_cast<int>(rng.bounded(40)));
+      switch (rng.bounded(4)) {
+        case 0:  // a hole at the selected range's start
+          blocked.emplace_back(base.first(), longer);
+          break;
+        case 1:  // a hole at its end
+          blocked.emplace_back(base.last(), longer);
+          break;
+        case 2: {  // the whole prefix and more
+          const int shorter = base.length() - static_cast<int>(rng.bounded(3));
+          blocked.emplace_back(base.network(), std::max(0, shorter));
+          break;
+        }
+        default:
+          blocked.push_back(random_prefix(8));
+          break;
+      }
+    }
+    for (const net::Ipv6Prefix& prefix : blocked) blocklist.add(prefix);
+
+    std::vector<net::Ipv6Address> candidates = {net::Ipv6Address(), all_ones};
+    for (const auto* prefixes : {&whitelist, &blocked}) {
+      for (const net::Ipv6Prefix& prefix : *prefixes) {
+        for (const net::Ipv6Address edge : {prefix.first(), prefix.last()}) {
+          candidates.push_back(edge);
+          candidates.push_back(step(edge, -1));
+          candidates.push_back(step(edge, +1));
+        }
+      }
+    }
+    for (const net::Ipv6Address anchor : anchors) {
+      candidates.emplace_back(anchor.hi(), anchor.lo() ^ rng.bounded(256));
+    }
+    const std::size_t distinct = candidates.size();
+    for (std::size_t i = 0; i < distinct / 4; ++i) {
+      candidates.push_back(candidates[rng.bounded(distinct)]);  // repeats
+    }
+    // A long run of one address: a sort bucket that cannot be split.
+    const net::Ipv6Address run = candidates[rng.bounded(distinct)];
+    candidates.insert(candidates.end(), 80, run);
+    rng.shuffle(std::span(candidates));
+
+    const auto admitted = [&](net::Ipv6Address address) {
+      const auto holds = [address](const net::Ipv6Prefix& prefix) {
+        return prefix.contains(address);
+      };
+      return std::ranges::any_of(whitelist, holds) &&
+             std::ranges::none_of(blocked, holds);
+    };
+    scan::ScanScope6 scope(whitelist, blocklist);
+    const std::size_t split = rng.bounded(candidates.size() + 1);
+    const std::span<const net::Ipv6Address> all(candidates);
+    std::vector<net::Ipv6Address> expected;
+    for (const auto batch : {all.first(split), all.subspan(split)}) {
+      const auto before = expected.size();
+      for (const net::Ipv6Address address : batch) {
+        if (admitted(address)) expected.push_back(address);
+      }
+      admitted_total += expected.size() - before;
+      rejected_total += batch.size() - (expected.size() - before);
+      EXPECT_EQ(scope.add_candidates(batch), expected.size() - before)
+          << "seed " << seed;
+    }
+    std::ranges::sort(expected);
+    EXPECT_TRUE(std::ranges::equal(scope.candidates(), expected))
+        << "seed " << seed;
+    for (const net::Ipv6Address address : candidates) {
+      EXPECT_EQ(scope.contains(address), admitted(address))
+          << "seed " << seed << " address " << address.to_string();
+    }
+  }
+  // The generator reaches both outcomes, not one by accident.
+  EXPECT_GT(admitted_total, 0u);
+  EXPECT_GT(rejected_total, 0u);
 }
 
 TEST(Hitlist6, ParsesStrictAndLenient) {
