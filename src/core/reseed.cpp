@@ -1,9 +1,9 @@
 #include "core/reseed.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 
-#include "scan/scope.hpp"
 #include "util/error.hpp"
 
 namespace tass::core {
@@ -67,35 +67,49 @@ ChurnStepStats churn_step(DensityRanking& ranking,
                           std::vector<std::uint32_t>& counts,
                           const bgp::PrefixPartition& partition,
                           const bgp::PartitionApplyResult& delta,
-                          const scan::ProbeOracle& oracle,
-                          const scan::ScanEngine& engine,
-                          std::span<const std::uint32_t> dirty_cells) {
+                          const scan::ProbeOracle* oracle,
+                          std::span<const std::uint32_t> dirty_cells,
+                          std::span<const std::uint32_t> held_cells) {
   TASS_EXPECTS(counts.size() == delta.old_cell_count);
+  TASS_EXPECTS(std::is_sorted(held_cells.begin(), held_cells.end()));
   delta.reindex(counts);
 
-  // Rescan scope: the cells the delta created plus the host-churn-dirty
-  // ones. The two sets are disjoint by contract; unique() is insurance.
-  std::vector<std::uint32_t> rescan(delta.added_cells.begin(),
-                                    delta.added_cells.end());
-  rescan.insert(rescan.end(), dirty_cells.begin(), dirty_cells.end());
-  std::sort(rescan.begin(), rescan.end());
-  rescan.erase(std::unique(rescan.begin(), rescan.end()), rescan.end());
-
   ChurnStepStats stats;
-  stats.rescanned_cells = rescan.size();
-  if (!rescan.empty()) {
-    const scan::ScanScope scope = scan::ScanScope::of_cells(partition, rescan);
-    const scan::AttributedScanResult attributed =
-        engine.run_attributed(scope, oracle, partition);
-    stats.rescanned_addresses = attributed.result.stats.probes_sent;
-    stats.rescan_hits = attributed.result.stats.responses;
-    // The whole cell was in scope, so its count is exact and final.
+  if (oracle != nullptr) {
+    // Rescan set: the cells the delta created, less the held ones, plus
+    // the host-churn-dirty ones. The two sets are disjoint by contract;
+    // unique() is insurance.
+    std::vector<std::uint32_t> rescan;
+    std::set_difference(delta.added_cells.begin(), delta.added_cells.end(),
+                        held_cells.begin(), held_cells.end(),
+                        std::back_inserter(rescan));
+    rescan.insert(rescan.end(), dirty_cells.begin(), dirty_cells.end());
+    std::sort(rescan.begin(), rescan.end());
+    rescan.erase(std::unique(rescan.begin(), rescan.end()), rescan.end());
+
     for (const std::uint32_t cell : rescan) {
-      counts[cell] = attributed.cell_counts[cell];
+      TASS_EXPECTS(partition.live(cell));
+      const net::Prefix prefix = partition.prefix(cell);
+      const std::uint64_t hits =
+          oracle->count_responsive({prefix.network(), prefix.last()});
+      counts[cell] = static_cast<std::uint32_t>(hits);
+      stats.rescanned_addresses += prefix.size();
+      stats.rescan_hits += hits;
     }
+    stats.rescanned_cells = rescan.size();
   }
   rerank_cells(ranking, counts, partition, delta, dirty_cells);
   return stats;
+}
+
+ChurnStepStats churn_step(DensityRanking& ranking,
+                          std::vector<std::uint32_t>& counts,
+                          const bgp::PrefixPartition& partition,
+                          const bgp::PartitionApplyResult& delta,
+                          const scan::ProbeOracle& oracle,
+                          const scan::ScanEngine& /*engine*/,
+                          std::span<const std::uint32_t> dirty_cells) {
+  return churn_step(ranking, counts, partition, delta, &oracle, dirty_cells);
 }
 
 }  // namespace tass::core

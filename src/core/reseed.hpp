@@ -50,18 +50,39 @@ struct ChurnStepStats {
 /// Runs one churn step of the incremental pipeline, between reseeds:
 /// the caller has already patched `partition` with apply_delta; this
 /// re-probes ONLY the invalidated cells (the delta's added cells plus
-/// any `dirty_cells` whose host population is known to have changed)
-/// through the engine, patches `counts` in place, and rerank_cells()s
-/// the ranking — the untouched world is never re-attributed.
+/// any `dirty_cells` whose host population is known to have changed),
+/// patches `counts` in place, and rerank_cells()s the ranking — the
+/// untouched world is never re-attributed.
+///
+/// Each rescanned cell is counted whole: one oracle->count_responsive
+/// over its prefix, with no blocklist (partition cells were carved from
+/// filtered space by the caller's pipeline), so its count is exact and
+/// final. The stats are the sums over those cells.
+///
+/// `held_cells` (ascending, a subset of the delta's added cells) are
+/// cells whose rescan is postponed, e.g. by a per-AS probe budget: they
+/// keep count 0, rank at zero, and stay out of the stats. With a null
+/// `oracle` nothing is probed: added cells score zero and dirty cells
+/// keep their counts.
 ///
 /// `counts` arrives in pre-delta indexing and leaves in post-delta
 /// indexing (PartitionApplyResult::reindex is applied internally).
 ///
 /// Equivalence contract: afterwards, (counts, ranking) are bit-identical
-/// to re-scanning the entire partition through the same engine/oracle and
+/// to re-scanning the entire partition against the same oracle and
 /// ranking from scratch, provided the oracle's population only changed
-/// inside dirty_cells and the delta's cells — the churn-replay
-/// differential suite enforces this at every step.
+/// inside dirty_cells and the delta's cells and no cell is held — the
+/// churn-replay differential suite enforces this at every step.
+ChurnStepStats churn_step(DensityRanking& ranking,
+                          std::vector<std::uint32_t>& counts,
+                          const bgp::PrefixPartition& partition,
+                          const bgp::PartitionApplyResult& delta,
+                          const scan::ProbeOracle* oracle,
+                          std::span<const std::uint32_t> dirty_cells = {},
+                          std::span<const std::uint32_t> held_cells = {});
+
+/// The step above against `oracle`; `engine` has no effect (removed by
+/// the benchmark-declared cleanup, ROADMAP item 6).
 ChurnStepStats churn_step(DensityRanking& ranking,
                           std::vector<std::uint32_t>& counts,
                           const bgp::PrefixPartition& partition,

@@ -17,15 +17,4 @@ ScanScope ScanScope::of_reduced(std::span<const net::Prefix> prefixes,
   return scope;
 }
 
-ScanScope ScanScope::of_cells(const bgp::PrefixPartition& partition,
-                              std::span<const std::uint32_t> cells) {
-  std::vector<net::Prefix> prefixes;
-  prefixes.reserve(cells.size());
-  for (const std::uint32_t cell : cells) {
-    TASS_EXPECTS(partition.live(cell));
-    prefixes.push_back(partition.prefix(cell));
-  }
-  return ScanScope(net::IntervalSet::of_prefixes(prefixes));
-}
-
 }  // namespace tass::scan

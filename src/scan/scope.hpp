@@ -7,7 +7,6 @@
 
 #include <span>
 
-#include "bgp/partition.hpp"
 #include "bgp/reduce.hpp"
 #include "net/interval.hpp"
 #include "scan/blocklist.hpp"
@@ -33,15 +32,6 @@ class ScanScope {
                               const Blocklist& blocklist,
                               const bgp::ReduceParams& params = {},
                               bgp::ReduceResult* reduced_out = nullptr);
-
-  /// Scope over selected live cells of a partition — the rescan scope of
-  /// an incremental churn step (core::churn_step): the engine re-probes
-  /// exactly the invalidated cells and leaves the untouched world alone.
-  /// No blocklist is applied; partition cells were already carved from
-  /// filtered space by the caller's pipeline. Precondition: every cell
-  /// index is in range and live.
-  static ScanScope of_cells(const bgp::PrefixPartition& partition,
-                            std::span<const std::uint32_t> cells);
 
   /// Scope over raw intervals (already exclusion-applied).
   explicit ScanScope(net::IntervalSet targets) : targets_(std::move(targets)) {

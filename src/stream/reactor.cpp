@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <unordered_set>
 
-#include "scan/scope.hpp"
+#include "core/reseed.hpp"
 #include "state/image.hpp"
 #include "util/endian.hpp"
 #include "util/error.hpp"
@@ -64,9 +63,8 @@ StreamReactor::StreamReactor(std::vector<bgp::Pfx2AsRecord> table,
 StreamReactor::~StreamReactor() { stop(); }
 
 void StreamReactor::set_rescanner(const scan::ProbeOracle* oracle,
-                                  const scan::ScanEngine* engine) {
+                                  const scan::ScanEngine* /*engine*/) {
   oracle_ = oracle;
-  engine_ = engine;
 }
 
 void StreamReactor::set_publisher(Publisher publisher) {
@@ -86,7 +84,8 @@ std::size_t StreamReactor::table_find(
   return table_.size();
 }
 
-scan::TokenBucket& StreamReactor::bucket_for(std::uint32_t asn) {
+bool StreamReactor::try_spend_budget(std::uint32_t asn,
+                                     const net::Prefix& prefix, double now) {
   auto it = buckets_.find(asn);
   if (it == buckets_.end()) {
     const double rate = options_.as_probes_per_second;
@@ -95,7 +94,9 @@ scan::TokenBucket& StreamReactor::bucket_for(std::uint32_t asn) {
                              : std::max(rate, 1.0);
     it = buckets_.emplace(asn, scan::TokenBucket(rate, burst)).first;
   }
-  return it->second;
+  scan::TokenBucket& bucket = it->second;
+  return bucket.try_consume(
+      std::min(static_cast<double>(prefix.size()), bucket.burst()), now);
 }
 
 void StreamReactor::snapshot_framer_stats() {
@@ -172,10 +173,7 @@ void StreamReactor::collect_ready_deferred(
         partition_.prefix(entry.cell) != entry.prefix) {
       continue;
     }
-    scan::TokenBucket& bucket = bucket_for(entry.asn);
-    const double tokens = std::min(
-        static_cast<double>(entry.prefix.size()), bucket.burst());
-    if (bucket.try_consume(tokens, now)) {
+    if (try_spend_budget(entry.asn, entry.prefix, now)) {
       dirty.push_back(entry.cell);
       oldest_enqueue = std::min(oldest_enqueue, entry.enqueued_at);
     } else {
@@ -279,7 +277,7 @@ bool StreamReactor::process_batch() {
     table_ = std::move(merged);
   }
 
-  // --- Patch partition + counts (the churn_step sequence) ---------------
+  // --- Patch the partition --------------------------------------------
   bgp::PartitionDelta pdelta{std::move(removes), add_prefixes};
   bgp::PartitionApplyResult result;
   if (!pdelta.empty()) {
@@ -289,8 +287,6 @@ bool StreamReactor::process_batch() {
         static_cast<std::uint32_t>(partition_.size());
     result.new_cell_count = result.old_cell_count;
   }
-  TASS_EXPECTS(counts_.size() == result.old_cell_count);
-  result.reindex(counts_);
 
   // Deferred budgets are re-checked against the post-delta partition so
   // a cell withdrawn (or reused) this batch can never reach the dirty
@@ -305,52 +301,31 @@ bool StreamReactor::process_batch() {
   }
 
   // Politeness shaping: an added cell may only rescan when its origin
-  // AS has probe budget; otherwise it is deferred (ranked at zero until
-  // the bucket refills).
-  std::vector<std::uint32_t> rescan;
-  std::uint64_t paced = 0;
-  const bool can_rescan = oracle_ != nullptr && engine_ != nullptr;
-  for (std::size_t i = 0; i < result.added_cells.size(); ++i) {
-    const std::uint32_t cell = result.added_cells[i];
-    if (can_rescan && pacing_enabled()) {
+  // AS has probe budget; otherwise it is held (ranked at zero until the
+  // bucket refills).
+  std::vector<std::uint32_t> held;
+  if (oracle_ != nullptr && pacing_enabled()) {
+    for (std::size_t i = 0; i < result.added_cells.size(); ++i) {
+      const std::uint32_t cell = result.added_cells[i];
       const net::Prefix prefix = partition_.prefix(cell);
       const std::size_t pos = table_find(prefix);
       const std::uint32_t asn =
           pos != table_.size() ? table_[pos].origins.front() : 0;
-      scan::TokenBucket& bucket = bucket_for(asn);
-      const double tokens =
-          std::min(static_cast<double>(prefix.size()), bucket.burst());
-      if (!bucket.try_consume(tokens, now)) {
-        // added_cells is ascending and parallel to the sorted adds, so
-        // index i maps the cell back to its enqueue time.
-        const double enqueued_at =
-            i < adds_enqueued.size() ? adds_enqueued[i] : now;
-        deferred_.push_back(Deferred{cell, prefix, asn, enqueued_at});
-        ++paced;
-        continue;
-      }
-    }
-    rescan.push_back(cell);
-  }
-  rescan.insert(rescan.end(), dirty.begin(), dirty.end());
-  std::sort(rescan.begin(), rescan.end());
-  rescan.erase(std::unique(rescan.begin(), rescan.end()), rescan.end());
-
-  std::uint64_t rescanned_addresses = 0;
-  if (can_rescan && !rescan.empty()) {
-    const scan::ScanScope scope =
-        scan::ScanScope::of_cells(partition_, rescan);
-    const scan::AttributedScanResult attributed =
-        engine_->run_attributed(scope, *oracle_, partition_);
-    rescanned_addresses = attributed.result.stats.probes_sent;
-    for (const std::uint32_t cell : rescan) {
-      counts_[cell] = attributed.cell_counts[cell];
+      if (try_spend_budget(asn, prefix, now)) continue;
+      // added_cells is ascending and parallel to the sorted adds, so
+      // index i maps the cell back to its enqueue time.
+      const double enqueued_at =
+          i < adds_enqueued.size() ? adds_enqueued[i] : now;
+      deferred_.push_back(Deferred{cell, prefix, asn, enqueued_at});
+      held.push_back(cell);
     }
   }
 
   const bool changed = !pdelta.empty() || !dirty.empty();
+  core::ChurnStepStats step;
   if (changed) {
-    core::rerank_cells(ranking_, counts_, partition_, result, dirty);
+    step = core::churn_step(ranking_, counts_, partition_, result, oracle_,
+                            dirty, held);
   }
 
   // --- Publish ----------------------------------------------------------
@@ -382,10 +357,10 @@ bool StreamReactor::process_batch() {
     stats_.applied_reorigins += reorigins;
     stats_.noop_updates += noops;
     stats_.rejected_overlaps += rejected;
-    stats_.paced_deferrals += paced;
+    stats_.paced_deferrals += held.size();
     stats_.deferred_pending = deferred_.size();
-    stats_.rescanned_cells += rescan.size();
-    stats_.rescanned_addresses += rescanned_addresses;
+    stats_.rescanned_cells += step.rescanned_cells;
+    stats_.rescanned_addresses += step.rescanned_addresses;
     if (published) {
       ++stats_.plans_published;
       stats_.last_update_to_plan_seconds = latency;

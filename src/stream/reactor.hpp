@@ -7,19 +7,19 @@
 // UpdateSource of MRT BGP4MP messages, reassembles and decodes them
 // through MrtFramer (with mid-stream resync on corruption), folds the
 // per-prefix churn through a bounded CoalescingQueue, and drives the
-// existing incremental machinery — PrefixPartition::apply_delta,
-// core::rerank_cells (the churn_step sequence) — on a dedicated pipeline
-// thread. Each re-scoped plan is sealed with state::encode_image and
-// handed to the publisher callback, which typically installs it into a
-// serve::GenerationStore (the reactor's pipeline thread is the store's
-// single writer) or atomically writes it for tass_serve to reload.
+// existing incremental machinery — PrefixPartition::apply_delta, then
+// core::churn_step — on a dedicated pipeline thread. Each re-scoped plan
+// is sealed with state::encode_image and handed to the publisher
+// callback, which typically installs it into a serve::GenerationStore
+// (the reactor's pipeline thread is the store's single writer) or
+// atomically writes it for tass_serve to reload.
 //
 // Equivalence contract (pinned by tests/stream_differential_test.cpp):
 // with pacing disabled, feeding the reactor the encoded wire of a churn
 // step and flushing produces a partition, ranking and counts vector
 // bit-identical to the batch path — decode + rebased + apply +
 // partition_delta + apply_delta + core::churn_step — for the same step,
-// for any fragmentation of the wire and any engine thread count.
+// for any fragmentation of the wire.
 //
 // Per-AS politeness (the paper's good-citizenship arm): when
 // `as_probes_per_second` is set, each origin AS owns a scan::TokenBucket
@@ -140,9 +140,11 @@ class StreamReactor {
   StreamReactor& operator=(const StreamReactor&) = delete;
 
   /// Attaches the rescan capability: cells invalidated by churn are
-  /// re-probed through `engine` against `oracle` (both borrowed; must
-  /// outlive the reactor or be reset to null). Without a rescanner,
-  /// invalidated cells score zero until the next full seed.
+  /// re-probed against `oracle` (borrowed; must outlive the reactor or
+  /// be reset to null). Without a rescanner, invalidated cells score
+  /// zero until the next full seed and nothing counts as rescanned.
+  /// `engine` has no effect (removed by the benchmark-declared cleanup,
+  /// ROADMAP item 6).
   void set_rescanner(const scan::ProbeOracle* oracle,
                      const scan::ScanEngine* engine);
 
@@ -232,7 +234,11 @@ class StreamReactor {
                               std::vector<std::uint32_t>& dirty,
                               double& oldest_enqueue);
 
-  scan::TokenBucket& bucket_for(std::uint32_t asn);
+  /// Spends `prefix`'s rescan cost (its address count, clamped to the
+  /// burst) from `asn`'s token bucket; false when the AS is out of
+  /// budget.
+  bool try_spend_budget(std::uint32_t asn, const net::Prefix& prefix,
+                        double now);
   bool pacing_enabled() const noexcept {
     return options_.as_probes_per_second > 0.0;
   }
@@ -255,7 +261,6 @@ class StreamReactor {
   std::uint64_t seq_ = 0;
 
   const scan::ProbeOracle* oracle_ = nullptr;
-  const scan::ScanEngine* engine_ = nullptr;
   Publisher publisher_;
 
   // Ingest state (ingest thread, or caller in sync mode).

@@ -8,6 +8,8 @@
 // round-trips the RibDelta through the MRT BGP4MP update codec, patches
 // the partition in place, and runs core::churn_step. After every step the
 // delta-applied state must be *bit-identical* to a full rebuild:
+//   * stats         == one probe per address of every rescanned cell,
+//                      hits read off the full rescan,
 //   * counts        == re-attributing the whole scope from scratch,
 //   * ranking       == rank_by_density over the same partition (every
 //                      field, float bits included),
@@ -16,10 +18,16 @@
 //                      prefix set (semantically: locate -> same prefix),
 //   * fresh ranking == the incremental one on (prefix, hosts, density,
 //                      host_share), cell numbering aside.
+// The same step is replayed from the same pre-step state with half the
+// added cells held back (they stay 0 and out of the stats) and with no
+// oracle (nothing is probed, added cells score zero). A cell ending at
+// 255.255.255.255 is split on every step, so each step adds two adjacent
+// cells, one of them ending at the all-ones address.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bgp/partition.hpp"
@@ -201,12 +209,65 @@ bgp::RibDelta draw_churn(const std::vector<bgp::Pfx2AsRecord>& table,
   return delta;
 }
 
+// Splits the table's cell ending at 255.255.255.255 into its halves on
+// top of `delta`, unless the delta already touches it or it is a /32.
+// That cell's prefix is the table's largest, so the appended entries keep
+// the delta's lists sorted.
+void split_top_cell(bgp::RibDelta& delta,
+                    const std::vector<bgp::Pfx2AsRecord>& table) {
+  const auto top = std::find_if(
+      table.begin(), table.end(), [](const bgp::Pfx2AsRecord& record) {
+        return record.prefix.last().value() == 0xFFFFFFFFu;
+      });
+  if (top == table.end() || top->prefix.length() == 32) return;
+  const bool touched =
+      std::find(delta.withdraw.begin(), delta.withdraw.end(),
+                top->prefix) != delta.withdraw.end() ||
+      std::any_of(delta.reorigin.begin(), delta.reorigin.end(),
+                  [&](const bgp::Pfx2AsRecord& record) {
+                    return record.prefix == top->prefix;
+                  });
+  if (touched) return;
+  delta.withdraw.push_back(top->prefix);
+  delta.announce.push_back({top->prefix.lower_half(), top->origins});
+  delta.announce.push_back({top->prefix.upper_half(), top->origins});
+  delta.validate();
+}
+
+// A churn step that rescanned exactly `cells` must report one probe per
+// address of each and the hits the full rescan `counts_ref` holds there.
+void expect_rescan_stats(const core::ChurnStepStats& got,
+                         const bgp::PrefixPartition& partition,
+                         std::span<const std::uint32_t> cells,
+                         const std::vector<std::uint32_t>& counts_ref) {
+  std::uint64_t addresses = 0;
+  std::uint64_t hits = 0;
+  for (const std::uint32_t cell : cells) {
+    addresses += partition.prefix(cell).size();
+    hits += counts_ref[cell];
+  }
+  EXPECT_EQ(got.rescanned_cells, cells.size());
+  EXPECT_EQ(got.rescanned_addresses, addresses);
+  EXPECT_EQ(got.rescan_hits, hits);
+}
+
 TEST(DeltaDifferentialTest, ChurnReplayMatchesFullRebuildEveryStep) {
+  // Coverage of the step's edge inputs, summed over every seed and step.
+  std::uint64_t adjacent_added = 0;
+  std::uint64_t all_ones_added = 0;
+  std::uint64_t held_with_hosts = 0;
   constexpr int kSteps = 12;
   for (const std::uint64_t seed : {101ull, 202ull, 303ull, 404ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     util::Rng rng(util::mix64(seed, 1));
     World world = generate_world(seed);
+    world.table.push_back(
+        {net::Prefix::parse_or_throw("255.255.255.0/24"), {65000}});
+    for (const std::uint32_t host : {0xFFFFFF00u, 0xFFFFFF7Fu, 0xFFFFFF80u,
+                                     0xFFFFFFC1u, 0xFFFFFFFEu,
+                                     0xFFFFFFFFu}) {
+      world.hosts.push_back(host);  // above every generated host: sorted
+    }
 
     std::vector<net::Prefix> initial;
     initial.reserve(world.table.size());
@@ -225,7 +286,8 @@ TEST(DeltaDifferentialTest, ChurnReplayMatchesFullRebuildEveryStep) {
       SCOPED_TRACE("step " + std::to_string(step));
 
       // --- BGP churn, round-tripped through the MRT update codec ------
-      const bgp::RibDelta delta = draw_churn(world.table, rng);
+      bgp::RibDelta delta = draw_churn(world.table, rng);
+      split_top_cell(delta, world.table);
       const auto wire = bgp::encode_mrt_updates(
           delta, static_cast<std::uint32_t>(1441584000 + step));
       std::size_t skipped = 99;
@@ -292,11 +354,27 @@ TEST(DeltaDifferentialTest, ChurnReplayMatchesFullRebuildEveryStep) {
                                   applied.added_cells.end(), cell);
       });
 
+      std::vector<net::Prefix> added = pdelta.add;
+      std::sort(added.begin(), added.end());
+      for (std::size_t i = 1; i < added.size(); ++i) {
+        if (added[i - 1].last().value() + 1ull == added[i].network().value()) {
+          ++adjacent_added;
+        }
+      }
+      if (!added.empty() && added.back().last().value() == 0xFFFFFFFFu) {
+        ++all_ones_added;
+      }
+
       // --- the incremental step under test ----------------------------
+      // Held and oracle-less replays start from the same pre-step state.
+      core::DensityRanking held_ranking = ranking;
+      std::vector<std::uint32_t> held_counts = counts;
+      core::DensityRanking blind_ranking = ranking;
+      std::vector<std::uint32_t> blind_counts = counts;
+
       VectorOracle churned_oracle(world.hosts);
       const core::ChurnStepStats stats = core::churn_step(
-          ranking, counts, partition, applied, churned_oracle, engine,
-          dirty);
+          ranking, counts, partition, applied, &churned_oracle, dirty);
       EXPECT_LE(stats.rescanned_addresses, partition.address_count());
 
       // --- full-rebuild references ------------------------------------
@@ -304,6 +382,62 @@ TEST(DeltaDifferentialTest, ChurnReplayMatchesFullRebuildEveryStep) {
       const std::vector<std::uint32_t> counts_ref =
           attribute_from_scratch(partition, churned_oracle, engine);
       ASSERT_EQ(counts, counts_ref);
+      std::vector<std::uint32_t> rescanned(applied.added_cells.begin(),
+                                           applied.added_cells.end());
+      rescanned.insert(rescanned.end(), dirty.begin(), dirty.end());
+      expect_rescan_stats(stats, partition, rescanned, counts_ref);
+
+      // 1a. Held cells: every other added cell is held back. Held cells
+      // stay 0 and out of the stats; every other cell is the full rescan.
+      {
+        SCOPED_TRACE("held cells");
+        std::vector<std::uint32_t> held;
+        std::vector<std::uint32_t> probed;
+        for (std::size_t i = 0; i < applied.added_cells.size(); ++i) {
+          (i % 2 == 0 ? held : probed).push_back(applied.added_cells[i]);
+        }
+        probed.insert(probed.end(), dirty.begin(), dirty.end());
+        const core::ChurnStepStats held_stats =
+            core::churn_step(held_ranking, held_counts, partition, applied,
+                             &churned_oracle, dirty, held);
+        std::vector<std::uint32_t> want = counts_ref;
+        for (const std::uint32_t cell : held) {
+          if (counts_ref[cell] != 0) ++held_with_hosts;
+          want[cell] = 0;
+        }
+        ASSERT_EQ(held_counts, want);
+        expect_rankings_bit_identical(
+            held_ranking,
+            core::rank_by_density(want, partition, core::PrefixMode::kMore));
+        expect_rescan_stats(held_stats, partition, probed, counts_ref);
+      }
+
+      // 1b. No oracle: nothing is probed, added cells score zero, and
+      // every cell the step did not invalidate agrees with the full
+      // rescan.
+      {
+        SCOPED_TRACE("null oracle");
+        std::vector<std::uint32_t> want = blind_counts;
+        applied.reindex(want);
+        const core::ChurnStepStats blind_stats =
+            core::churn_step(blind_ranking, blind_counts, partition,
+                             applied, nullptr, dirty);
+        ASSERT_EQ(blind_counts, want);
+        for (std::size_t cell = 0; cell < want.size(); ++cell) {
+          const auto invalidated = [&](std::span<const std::uint32_t> set) {
+            return std::find(set.begin(), set.end(), cell) != set.end();
+          };
+          if (invalidated(applied.added_cells)) {
+            ASSERT_EQ(want[cell], 0u) << "cell " << cell;
+          } else if (!invalidated(dirty)) {
+            ASSERT_EQ(want[cell], counts_ref[cell]) << "cell " << cell;
+          }
+        }
+        expect_rankings_bit_identical(
+            blind_ranking,
+            core::rank_by_density(want, partition, core::PrefixMode::kMore));
+        expect_rescan_stats(blind_stats, partition, {}, counts_ref);
+      }
 
       // 2. Ranking: full re-rank over the same partition, bit for bit.
       expect_rankings_bit_identical(
@@ -365,6 +499,9 @@ TEST(DeltaDifferentialTest, ChurnReplayMatchesFullRebuildEveryStep) {
       }
     }
   }
+  EXPECT_GT(adjacent_added, 0u);
+  EXPECT_GT(all_ones_added, 0u);
+  EXPECT_GT(held_with_hosts, 0u);
 }
 
 }  // namespace

@@ -312,14 +312,6 @@ TEST(ScanEngine, RunAttributedCountsEdgeCells) {
     SCOPED_TRACE("partition with dead slots");
     expect_run_attributed_matches(scope, oracle, hosts, partition);
   }
-  {
-    SCOPED_TRACE("of_cells rescan");
-    const std::vector<std::uint32_t> rescan = {
-        *partition.index_of(Prefix::parse_or_throw("10.1.0.0/23")),
-        *partition.index_of(Prefix::parse_or_throw("255.255.255.0/24"))};
-    expect_run_attributed_matches(ScanScope::of_cells(partition, rescan),
-                                  oracle, hosts, partition);
-  }
 }
 
 TEST(ScanEngine, SnapshotOracleCountsTheGroundTruth) {

@@ -345,7 +345,7 @@ TEST(StreamDifferentialTest, LockstepReplayIsBitIdenticalToBatch) {
       for (const auto& record : table) target.push_back(record.prefix);
       const bgp::PartitionApplyResult applied =
           partition.apply_delta(partition_delta(partition, target));
-      core::churn_step(ranking, counts, partition, applied, oracle, engine);
+      core::churn_step(ranking, counts, partition, applied, &oracle);
 
       // Streamed path: the same wire, randomly fragmented, one flush.
       const std::size_t max_fragment =
@@ -437,7 +437,7 @@ TEST(StreamDifferentialTest, WholeStreamReplayMatchesBatchSemantically) {
     for (const auto& record : table) target.push_back(record.prefix);
     const bgp::PartitionApplyResult applied =
         partition.apply_delta(partition_delta(partition, target));
-    core::churn_step(ranking, counts, partition, applied, oracle, engine);
+    core::churn_step(ranking, counts, partition, applied, &oracle);
   }
 
   feed_fragmented(reactor, wire, rng, 4096);
@@ -491,7 +491,7 @@ TEST(StreamDifferentialTest, AsyncReplayMatchesBatchSemantically) {
     for (const auto& record : table) target.push_back(record.prefix);
     const bgp::PartitionApplyResult applied =
         partition.apply_delta(partition_delta(partition, target));
-    core::churn_step(ranking, counts, partition, applied, oracle, engine);
+    core::churn_step(ranking, counts, partition, applied, &oracle);
   }
 
   stream::ReactorOptions options;

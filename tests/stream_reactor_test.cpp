@@ -332,6 +332,28 @@ TEST(StreamReactorTest, ReoriginUpdatesTableWithoutRepublishing) {
   EXPECT_EQ(record.origins, (std::vector<std::uint32_t>{4242}));
 }
 
+TEST(StreamReactorTest, WithoutRescannerNothingCountsAsRescanned) {
+  SmallWorld world = small_world();
+  StreamReactor reactor(world.table, world.counts);
+
+  // No set_rescanner: the two new cells are applied and score zero, but
+  // nothing was probed, so nothing may count as rescanned.
+  reactor.feed(wire_of(
+      announce_delta({{"12.0.0.0/24", 500}, {"12.0.1.0/24", 500}})));
+  reactor.flush();
+
+  const ReactorStats stats = reactor.stats();
+  EXPECT_EQ(stats.applied_announces, 2u);
+  EXPECT_EQ(stats.rescanned_cells, 0u);
+  EXPECT_EQ(stats.rescanned_addresses, 0u);
+  for (const char* text : {"12.0.0.0/24", "12.0.1.0/24"}) {
+    const auto cell =
+        reactor.partition().index_of(net::Prefix::parse_or_throw(text));
+    ASSERT_TRUE(cell.has_value()) << text;
+    EXPECT_EQ(reactor.counts()[*cell], 0u) << text;
+  }
+}
+
 // --- Mid-record EOF on a file-tail source ------------------------------
 
 std::string temp_path(const std::string& stem) {
