@@ -180,7 +180,8 @@ auto BasicPrefixPartition<Family>::apply_delta(const Delta& delta)
       result.removed_cells.end()) {
     throw Error("apply_delta: prefix removed twice");
   }
-  // O(1) removal test: the sorted-view merge below asks it once per cell.
+  // O(1) removal test: the overlap query and the sorted-view merge below
+  // ask it once per cell.
   std::vector<std::uint8_t> removed_flag(prefixes_.size(), 0);
   for (const std::uint32_t slot : result.removed_cells) {
     removed_flag[slot] = 1;
@@ -207,28 +208,9 @@ auto BasicPrefixPartition<Family>::apply_delta(const Delta& delta)
     }
   }
   for (const Prefix prefix : delta.add) {
-    // The partition is disjoint, so at most one live cell covers the
-    // added prefix's network address; any other overlapping live cell
-    // must start strictly inside the added prefix.
-    if (const auto covering = locate(prefix.network())) {
-      if (!being_removed(*covering) &&
-          prefixes_[*covering].overlaps(prefix)) {
-        throw Error("apply_delta: added prefix " + prefix.to_string() +
-                    " overlaps live cell " +
-                    prefixes_[*covering].to_string());
-      }
-    }
-    const auto begin = std::lower_bound(
-        sorted_.begin(), sorted_.end(), prefix,
-        [](const SortedCell& cell, Prefix p) { return cell.prefix < p; });
-    for (auto it = begin;
-         it != sorted_.end() &&
-         Family::first_key(it->prefix) <= Family::last_key(prefix);
-         ++it) {
-      if (!being_removed(it->slot)) {
-        throw Error("apply_delta: added prefix " + prefix.to_string() +
-                    " overlaps live cell " + it->prefix.to_string());
-      }
+    if (const auto cell = overlapping_cell(prefix, being_removed)) {
+      throw Error("apply_delta: added prefix " + prefix.to_string() +
+                  " overlaps live cell " + prefixes_[*cell].to_string());
     }
   }
   const std::size_t pool_capacity =

@@ -211,8 +211,9 @@ class BasicPrefixPartition {
   ///
   /// Validation happens before any mutation (strong guarantee): throws
   /// tass::Error if a removed prefix is not a live cell, is listed twice,
-  /// if an added prefix overlaps a surviving cell or another addition, or
-  /// if this partition is a borrowed view (from_raw) and so cannot mutate.
+  /// if an added prefix overlaps a surviving cell (overlapping_cell with
+  /// the removed cells skipped) or another addition, or if this partition
+  /// is a borrowed view (from_raw) and so cannot mutate.
   /// A prefix listed in both remove and add is allowed (the cell is
   /// withdrawn and re-announced, landing on a possibly different slot).
   ///
@@ -256,6 +257,31 @@ class BasicPrefixPartition {
 
   /// Index of the cell equal to `prefix`, if present.
   std::optional<std::uint32_t> index_of(Prefix prefix) const;
+
+  /// The first live cell overlapping `prefix` for which `skip(slot)` is
+  /// false, if any. Two CIDR blocks overlap only by nesting, so the
+  /// candidates are the cell covering prefix's network address (locate)
+  /// and the cells whose network lies inside `prefix`, walked in prefix
+  /// order through the sorted view. This is the one overlap rule of the
+  /// partition: apply_delta rejects an addition it finds (skipping the
+  /// removed cells), and a caller classifying churn against the live
+  /// partition asks the same question before building a delta.
+  template <class Skip>
+  std::optional<std::uint32_t> overlapping_cell(Prefix prefix,
+                                                Skip&& skip) const {
+    if (const auto covering = locate(prefix.network())) {
+      if (!skip(*covering)) return covering;
+    }
+    auto it = std::lower_bound(
+        sorted_view_.begin(), sorted_view_.end(), prefix,
+        [](const SortedCell& cell, Prefix p) { return cell.prefix < p; });
+    for (; it != sorted_view_.end() &&
+           Family::first_key(it->prefix) <= Family::last_key(prefix);
+         ++it) {
+      if (!skip(it->slot)) return it->slot;
+    }
+    return std::nullopt;
+  }
 
   /// The underlying match substrate (shared with benches and tests).
   const Index& index() const noexcept { return index_; }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <limits>
+#include <optional>
 
 #include "core/reseed.hpp"
 #include "state/image.hpp"
@@ -18,23 +20,15 @@ double steady_seconds() {
       .count();
 }
 
-/// True when `prefix` equals/contains/is-contained-by any prefix in the
-/// ascending `sorted` set. Ancestor probes cover "contained by" (a CIDR
-/// container is always an ancestor); the first successor at or after
-/// `prefix` covers "contains" (any overlapping successor's network lies
-/// inside `prefix`).
+/// True when `prefix` overlaps a prefix of the ascending, pairwise
+/// disjoint `sorted` set. Only two entries can: the first at or after
+/// `prefix` (overlapping only if it starts inside `prefix`) and the one
+/// before it (overlapping only if it contains `prefix`).
 bool overlaps_sorted(const net::Prefix& prefix,
                      const std::vector<net::Prefix>& sorted) {
-  net::Prefix ancestor = prefix;
-  while (true) {
-    if (std::binary_search(sorted.begin(), sorted.end(), ancestor)) {
-      return true;
-    }
-    if (ancestor.length() == 0) break;
-    ancestor = ancestor.parent();
-  }
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), prefix);
-  return it != sorted.end() && prefix.contains(*it);
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), prefix);
+  return (it != sorted.end() && prefix.contains(*it)) ||
+         (it != sorted.begin() && std::prev(it)->contains(prefix));
 }
 
 }  // namespace
@@ -44,16 +38,17 @@ StreamReactor::StreamReactor(std::vector<bgp::Pfx2AsRecord> table,
                              ReactorOptions options)
     : options_(std::move(options)),
       clock_(options_.clock ? options_.clock : steady_seconds),
-      table_(std::move(table)),
       counts_(std::move(counts)),
       queue_(options_.queue_capacity, options_.overflow) {
-  TASS_EXPECTS(counts_.size() == table_.size());
+  TASS_EXPECTS(counts_.size() == table.size());
   std::vector<net::Prefix> prefixes;
-  prefixes.reserve(table_.size());
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    TASS_EXPECTS(!table_[i].origins.empty());
-    if (i > 0) TASS_EXPECTS(table_[i - 1].prefix < table_[i].prefix);
-    prefixes.push_back(table_[i].prefix);
+  prefixes.reserve(table.size());
+  origins_.reserve(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    TASS_EXPECTS(!table[i].origins.empty());
+    if (i > 0) TASS_EXPECTS(table[i - 1].prefix < table[i].prefix);
+    prefixes.push_back(table[i].prefix);
+    origins_.push_back(std::move(table[i].origins));
   }
   partition_ = bgp::PrefixPartition(std::move(prefixes));
   ranking_ = core::rank_by_density(std::span<const std::uint32_t>(counts_),
@@ -71,17 +66,14 @@ void StreamReactor::set_publisher(Publisher publisher) {
   publisher_ = std::move(publisher);
 }
 
-std::size_t StreamReactor::table_find(
-    const net::Prefix& prefix) const noexcept {
-  auto it = std::lower_bound(
-      table_.begin(), table_.end(), prefix,
-      [](const bgp::Pfx2AsRecord& record, const net::Prefix& p) {
-        return record.prefix < p;
-      });
-  if (it != table_.end() && it->prefix == prefix) {
-    return static_cast<std::size_t>(it - table_.begin());
+std::vector<bgp::Pfx2AsRecord> StreamReactor::table() const {
+  const bgp::PrefixPartition::Raw raw = partition_.raw();
+  std::vector<bgp::Pfx2AsRecord> table;
+  table.reserve(raw.sorted.size());
+  for (const bgp::SortedCell& cell : raw.sorted) {
+    table.push_back({cell.prefix, origins_[cell.slot]});
   }
-  return table_.size();
+  return table;
 }
 
 bool StreamReactor::try_spend_budget(std::uint32_t asn,
@@ -136,30 +128,6 @@ void StreamReactor::enqueue_action(PrefixAction action, bool blocking) {
   }
 }
 
-bool StreamReactor::overlaps_surviving(
-    const net::Prefix& prefix,
-    const std::vector<std::uint32_t>& withdrawn_cells) const {
-  const auto withdrawn = [&](std::uint32_t cell) {
-    return std::find(withdrawn_cells.begin(), withdrawn_cells.end(), cell) !=
-           withdrawn_cells.end();
-  };
-  // A live cell containing prefix's network overlaps it (two prefixes
-  // sharing an address nest by CIDR structure).
-  if (std::optional<std::uint32_t> hit = partition_.locate(prefix.network())) {
-    if (!withdrawn(*hit)) return true;
-  }
-  // Live cells whose network lies inside `prefix` are contained in it.
-  const bgp::PrefixPartition::Raw raw = partition_.raw();
-  const bgp::SortedCell probe{prefix, 0};
-  auto it = std::lower_bound(raw.sorted.begin(), raw.sorted.end(), probe);
-  for (; it != raw.sorted.end() &&
-         it->prefix.network().value() <= prefix.last().value();
-       ++it) {
-    if (!withdrawn(it->slot)) return true;
-  }
-  return false;
-}
-
 void StreamReactor::collect_ready_deferred(
     double now, std::vector<std::uint32_t>& dirty, double& oldest_enqueue) {
   if (deferred_.empty()) return;
@@ -189,39 +157,44 @@ bool StreamReactor::process_batch() {
 
   double oldest = std::numeric_limits<double>::infinity();
 
-  // --- Classify against the current table -------------------------------
+  // --- Classify against the live partition ----------------------------
   std::vector<net::Prefix> removes;
   std::vector<std::uint32_t> withdrawn_cells;
-  std::vector<bgp::Pfx2AsRecord> adds;
-  std::vector<double> adds_enqueued;
+  std::vector<PrefixAction> adds;
   std::vector<net::Prefix> adds_sorted;  // overlap probe set, ascending
   std::uint64_t announces = 0, withdraws = 0, reorigins = 0, noops = 0,
                 rejected = 0;
+  const auto withdrawn = [&](std::uint32_t cell) {
+    return std::find(withdrawn_cells.begin(), withdrawn_cells.end(), cell) !=
+           withdrawn_cells.end();
+  };
 
   for (PrefixAction& action : actions) {
-    const std::size_t pos = table_find(action.prefix);
+    const std::optional<std::uint32_t> cell =
+        partition_.index_of(action.prefix);
     if (action.is_withdraw()) {
-      if (pos == table_.size()) {
+      if (!cell) {
         ++noops;  // withdraw of an absent prefix: wire chatter
         continue;
       }
       removes.push_back(action.prefix);
-      withdrawn_cells.push_back(*partition_.index_of(action.prefix));
+      withdrawn_cells.push_back(*cell);
       ++withdraws;
       oldest = std::min(oldest, action.enqueued_at);
       continue;
     }
-    if (pos != table_.size()) {
-      if (table_[pos].origins == *action.origins) {
+    if (cell) {
+      if (origins_[*cell] == *action.origins) {
         ++noops;  // re-announcement with unchanged origins
       } else {
-        table_[pos].origins = std::move(*action.origins);
+        origins_[*cell] = std::move(*action.origins);
         ++reorigins;
         oldest = std::min(oldest, action.enqueued_at);
       }
       continue;
     }
-    if (overlaps_surviving(action.prefix, withdrawn_cells) ||
+    // A cell withdrawn earlier in this batch no longer blocks an add.
+    if (partition_.overlapping_cell(action.prefix, withdrawn) ||
         overlaps_sorted(action.prefix, adds_sorted)) {
       ++rejected;  // keeps the partition disjoint; counted, never applied
       continue;
@@ -230,58 +203,26 @@ bool StreamReactor::process_batch() {
         std::lower_bound(adds_sorted.begin(), adds_sorted.end(),
                          action.prefix),
         action.prefix);
-    adds.push_back(
-        bgp::Pfx2AsRecord{action.prefix, std::move(*action.origins)});
-    adds_enqueued.push_back(action.enqueued_at);
     ++announces;
     oldest = std::min(oldest, action.enqueued_at);
+    adds.push_back(std::move(action));
   }
 
-  // --- Patch the table (one ascending merge, == RibDelta::apply) --------
-  std::vector<net::Prefix> add_prefixes;
-  if (!removes.empty() || !adds.empty()) {
-    std::sort(removes.begin(), removes.end());
-    std::vector<std::size_t> add_order(adds.size());
-    for (std::size_t i = 0; i < add_order.size(); ++i) add_order[i] = i;
-    std::sort(add_order.begin(), add_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return adds[a].prefix < adds[b].prefix;
-              });
-    add_prefixes.reserve(adds.size());
-    std::vector<double> sorted_enqueued;
-    sorted_enqueued.reserve(adds.size());
-    std::vector<bgp::Pfx2AsRecord> sorted_adds;
-    sorted_adds.reserve(adds.size());
-    for (const std::size_t i : add_order) {
-      add_prefixes.push_back(adds[i].prefix);
-      sorted_enqueued.push_back(adds_enqueued[i]);
-      sorted_adds.push_back(std::move(adds[i]));
-    }
-    adds = std::move(sorted_adds);
-    adds_enqueued = std::move(sorted_enqueued);
-
-    std::vector<bgp::Pfx2AsRecord> merged;
-    merged.reserve(table_.size() + adds.size() - removes.size());
-    std::size_t ai = 0, ri = 0;
-    for (bgp::Pfx2AsRecord& record : table_) {
-      while (ai < adds.size() && adds[ai].prefix < record.prefix) {
-        merged.push_back(std::move(adds[ai++]));
-      }
-      if (ri < removes.size() && removes[ri] == record.prefix) {
-        ++ri;
-        continue;
-      }
-      merged.push_back(std::move(record));
-    }
-    while (ai < adds.size()) merged.push_back(std::move(adds[ai++]));
-    table_ = std::move(merged);
-  }
-
-  // --- Patch the partition --------------------------------------------
-  bgp::PartitionDelta pdelta{std::move(removes), add_prefixes};
+  // --- Patch the partition and the per-slot origins --------------------
+  // apply_delta assigns slots in `add` order, so ascending adds give the
+  // slots the batch path's (sorted) partition_delta would.
+  std::sort(adds.begin(), adds.end(),
+            [](const PrefixAction& a, const PrefixAction& b) {
+              return a.prefix < b.prefix;
+            });
+  bgp::PartitionDelta pdelta{std::move(removes), std::move(adds_sorted)};
   bgp::PartitionApplyResult result;
   if (!pdelta.empty()) {
     result = partition_.apply_delta(pdelta);
+    result.reindex(origins_);
+    for (std::size_t i = 0; i < adds.size(); ++i) {
+      origins_[result.added_cells[i]] = std::move(*adds[i].origins);
+    }
   } else {
     result.old_cell_count =
         static_cast<std::uint32_t>(partition_.size());
@@ -308,15 +249,10 @@ bool StreamReactor::process_batch() {
     for (std::size_t i = 0; i < result.added_cells.size(); ++i) {
       const std::uint32_t cell = result.added_cells[i];
       const net::Prefix prefix = partition_.prefix(cell);
-      const std::size_t pos = table_find(prefix);
-      const std::uint32_t asn =
-          pos != table_.size() ? table_[pos].origins.front() : 0;
+      const std::uint32_t asn = origins_[cell].front();
       if (try_spend_budget(asn, prefix, now)) continue;
-      // added_cells is ascending and parallel to the sorted adds, so
-      // index i maps the cell back to its enqueue time.
-      const double enqueued_at =
-          i < adds_enqueued.size() ? adds_enqueued[i] : now;
-      deferred_.push_back(Deferred{cell, prefix, asn, enqueued_at});
+      // added_cells is parallel to the sorted adds.
+      deferred_.push_back(Deferred{cell, prefix, asn, adds[i].enqueued_at});
       held.push_back(cell);
     }
   }

@@ -21,6 +21,15 @@
 // partition_delta + apply_delta + core::churn_step — for the same step,
 // for any fragmentation of the wire.
 //
+// Routing state: the reactor keeps no routing table beside its
+// partition. The partition holds the live prefixes, and each slot's
+// origin set sits in a per-slot vector indexed like the counts. Each
+// queued action is classified against the live partition: index_of
+// tells a withdraw, reorigin or no-op from an add, and an add that
+// PrefixPartition::overlapping_cell (the rule apply_delta enforces)
+// finds a surviving overlap for is rejected. table() is a view built
+// per call from the two.
+//
 // Per-AS politeness (the paper's good-citizenship arm): when
 // `as_probes_per_second` is set, each origin AS owns a scan::TokenBucket
 // and a cell rescan must consume tokens equal to its address count
@@ -33,8 +42,9 @@
 // → queue) and pipeline (queue → delta → rescan → rerank → publish).
 // The sync API (feed/poll/flush) runs everything on the caller's thread
 // for deterministic tests. The two modes must not be mixed while
-// running. partition()/ranking()/table() may only be read when no
-// pipeline thread is running (after stop()); stats() is safe anytime.
+// running. partition()/ranking()/counts() and the per-call table() may
+// only be read when no pipeline thread is running (after stop());
+// stats() is safe anytime.
 #pragma once
 
 #include <atomic>
@@ -195,9 +205,12 @@ class StreamReactor {
     return partition_;
   }
   const core::DensityRanking& ranking() const noexcept { return ranking_; }
-  const std::vector<bgp::Pfx2AsRecord>& table() const noexcept {
-    return table_;
-  }
+  /// The routing table the plan tracks, ascending by prefix: each live
+  /// cell with its origins. Built on each call from the partition's
+  /// sorted view and the per-slot origins (the reactor keeps no second
+  /// table), so it costs O(cells) and may only be read when no pipeline
+  /// thread runs.
+  std::vector<bgp::Pfx2AsRecord> table() const;
   std::span<const std::uint32_t> counts() const noexcept { return counts_; }
 
   /// Snapshot of the reactor counters (thread-safe anytime).
@@ -223,12 +236,6 @@ class StreamReactor {
   /// publish. Returns whether any work was done.
   bool process_batch();
 
-  /// True when an announce of `prefix` would overlap a cell surviving
-  /// this batch (present, live, and not in `withdrawn_cells`).
-  bool overlaps_surviving(const net::Prefix& prefix,
-                          const std::vector<std::uint32_t>& withdrawn_cells)
-      const;
-
   /// Moves budget-ready deferred cells into `dirty`, consuming tokens.
   void collect_ready_deferred(double now,
                               std::vector<std::uint32_t>& dirty,
@@ -243,17 +250,14 @@ class StreamReactor {
     return options_.as_probes_per_second > 0.0;
   }
 
-  /// Binary search of table_ by prefix; table_.size() when absent.
-  std::size_t table_find(const net::Prefix& prefix) const noexcept;
-
   void snapshot_framer_stats();
 
   ReactorOptions options_;
   std::function<double()> clock_;
 
   // Plan state (pipeline thread exclusively while running).
-  std::vector<bgp::Pfx2AsRecord> table_;  // ascending by prefix
   bgp::PrefixPartition partition_;
+  std::vector<std::vector<std::uint32_t>> origins_;  // per slot, as counts_
   std::vector<std::uint32_t> counts_;
   core::DensityRanking ranking_;
   std::vector<Deferred> deferred_;

@@ -1,8 +1,27 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace tass::util {
+namespace {
+
+// The inline path of a region: every shard runs even when one throws, and
+// the first exception is rethrown at the end, as on the pooled path.
+void run_inline(std::size_t shard_count,
+                const std::function<void(std::size_t)>& fn) {
+  std::exception_ptr error;
+  for (std::size_t shard = 0; shard < shard_count; ++shard) {
+    try {
+      fn(shard);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace
 
 std::size_t shard_count_for_slots(std::uint64_t total_items,
                                   std::uint64_t min_items_per_shard,
@@ -78,7 +97,7 @@ void ThreadPool::for_each_shard(std::size_t shard_count,
                                 const std::function<void(std::size_t)>& fn) {
   if (shard_count == 0) return;
   if (workers_.empty() || shard_count == 1) {
-    for (std::size_t shard = 0; shard < shard_count; ++shard) fn(shard);
+    run_inline(shard_count, fn);
     return;
   }
 
@@ -112,7 +131,7 @@ ThreadPool& ThreadPool::shared() {
 void run_shards(unsigned threads, std::size_t shard_count,
                 const std::function<void(std::size_t)>& fn) {
   if (threads == 1 || shard_count <= 1) {
-    for (std::size_t shard = 0; shard < shard_count; ++shard) fn(shard);
+    run_inline(shard_count, fn);
   } else if (threads == 0) {
     ThreadPool::shared().for_each_shard(shard_count, fn);
   } else {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "bgp/partition.hpp"
@@ -338,6 +340,90 @@ TEST(PartitionDeltaTest, SplittingACellMirrorsDeaggregationChurn) {
       std::optional<std::uint32_t>{5});
   EXPECT_EQ(partition.address_count(),
             PrefixPartition(disjoint_prefixes()).address_count());
+}
+
+// Probes for the overlap query, against cells laid out in slot order as:
+// 0 a cell a narrower probe sits inside, 1 and 2 two siblings a wider
+// probe contains, 3 and 4 the two halves of the block that ends at the
+// all-ones address.
+struct OverlapShapes {
+  std::vector<std::string_view> cells;
+  std::string_view inside_cell0;    // covered by cell 0
+  std::string_view around_cells12;  // network in cell 1; holds 1 and 2
+  std::string_view above_cells12;   // network in no cell; holds 1 and 2
+  std::string_view to_all_ones;     // the parent of cells 3 and 4
+  std::string_view disjoint;        // overlaps nothing
+  std::string_view everything;      // the zero-length prefix
+};
+
+template <class Family>
+void expect_overlap_query(const OverlapShapes& shapes) {
+  using Prefix = typename Family::Prefix;
+  using Hit = std::optional<std::uint32_t>;
+  const auto parse = [](std::string_view text) {
+    return Prefix::parse_or_throw(text);
+  };
+  std::vector<Prefix> cells;
+  for (const std::string_view text : shapes.cells) cells.push_back(parse(text));
+  BasicPrefixPartition<Family> partition(cells);
+  const auto query = [&](std::string_view probe,
+                         std::vector<std::uint32_t> skipped = {}) {
+    return partition.overlapping_cell(parse(probe), [&](std::uint32_t slot) {
+      return std::find(skipped.begin(), skipped.end(), slot) !=
+             skipped.end();
+    });
+  };
+
+  // A covering cell, and nothing once it is skipped.
+  EXPECT_EQ(query(shapes.inside_cell0), Hit{0});
+  EXPECT_EQ(query(shapes.inside_cell0, {0}), std::nullopt);
+  // A cell equal to the probe.
+  EXPECT_EQ(query(shapes.cells[2]), Hit{2});
+  // Cells nested inside the probe, found by the sorted walk alone.
+  EXPECT_EQ(query(shapes.above_cells12), Hit{1});
+  EXPECT_EQ(query(shapes.above_cells12, {1}), Hit{2});
+  // A skipped covering cell: the next inner cell is reported.
+  EXPECT_EQ(query(shapes.around_cells12), Hit{1});
+  EXPECT_EQ(query(shapes.around_cells12, {1}), Hit{2});
+  EXPECT_EQ(query(shapes.around_cells12, {1, 2}), std::nullopt);
+  // A probe ending at the all-ones address walks to the end of the view.
+  EXPECT_EQ(query(shapes.to_all_ones), Hit{3});
+  EXPECT_EQ(query(shapes.to_all_ones, {3}), Hit{4});
+  EXPECT_EQ(query(shapes.to_all_ones, {3, 4}), std::nullopt);
+  EXPECT_EQ(query(shapes.everything), Hit{0});
+  EXPECT_EQ(query(shapes.everything, {0, 1, 2, 3}), Hit{4});
+  EXPECT_EQ(query(shapes.everything, {0, 1, 2, 3, 4}), std::nullopt);
+  EXPECT_EQ(query(shapes.disjoint), std::nullopt);
+
+  // A removed cell is never reported.
+  PartitionDeltaT<Family> delta;
+  delta.remove = {cells[1]};
+  partition.apply_delta(delta);
+  EXPECT_EQ(query(shapes.around_cells12), Hit{2});
+}
+
+TEST(PartitionDeltaTest, OverlappingCellFindsCoveringAndNestedCellsV4) {
+  expect_overlap_query<net::Ipv4Family>(
+      {.cells = {"10.0.0.0/16", "172.16.0.0/16", "172.17.0.0/16",
+                 "255.255.255.0/25", "255.255.255.128/25"},
+       .inside_cell0 = "10.0.99.0/24",
+       .around_cells12 = "172.16.0.0/15",
+       .above_cells12 = "172.0.0.0/8",
+       .to_all_ones = "255.255.255.0/24",
+       .disjoint = "192.0.2.0/24",
+       .everything = "0.0.0.0/0"});
+}
+
+TEST(PartitionDeltaTest, OverlappingCellFindsCoveringAndNestedCellsV6) {
+  expect_overlap_query<net::Ipv6Family>(
+      {.cells = {"2001:db8::/32", "2a00:4::/32", "2a00:5::/32", "ffff::/17",
+                 "ffff:8000::/17"},
+       .inside_cell0 = "2001:db8:99::/48",
+       .around_cells12 = "2a00:4::/31",
+       .above_cells12 = "2a00::/16",
+       .to_all_ones = "ffff::/16",
+       .disjoint = "3fff::/16",
+       .everything = "::/0"});
 }
 
 TEST(PartitionDeltaTest, ReindexPatchesPerCellVectors) {

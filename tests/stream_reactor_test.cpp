@@ -293,6 +293,29 @@ TEST(StreamReactorTest, OverlappingAnnouncesAreRejectedNotApplied) {
                    .has_value());
   // The rejected overlaps never entered the routing table either.
   EXPECT_EQ(reactor.table().size(), world.table.size() + 1);
+
+  // A cell withdrawn earlier in the batch no longer blocks an add: its
+  // two halves are applied, not rejected.
+  bgp::RibDelta split = withdraw_delta({"10.0.1.0/24"});
+  split.announce = announce_delta({{"10.0.1.0/25", 777},
+                                   {"10.0.1.128/25", 777}})
+                       .announce;
+  reactor.feed(wire_of(split));
+  reactor.flush();
+  const ReactorStats after = reactor.stats();
+  EXPECT_EQ(after.rejected_overlaps, 3u);
+  EXPECT_EQ(after.applied_withdraws, 1u);
+  EXPECT_EQ(after.applied_announces, 3u);
+  for (const char* text : {"10.0.1.0/25", "10.0.1.128/25"}) {
+    EXPECT_TRUE(reactor.partition()
+                    .index_of(net::Prefix::parse_or_throw(text))
+                    .has_value())
+        << text;
+  }
+  EXPECT_FALSE(reactor.partition()
+                   .index_of(net::Prefix::parse_or_throw("10.0.1.0/24"))
+                   .has_value());
+  EXPECT_EQ(reactor.table().size(), world.table.size() + 2);
 }
 
 TEST(StreamReactorTest, WireChatterIsCountedAsNoops) {
@@ -327,7 +350,7 @@ TEST(StreamReactorTest, ReoriginUpdatesTableWithoutRepublishing) {
 
   EXPECT_EQ(reactor.stats().applied_reorigins, 1u);
   EXPECT_EQ(published, 0u);  // topology and ranking are unchanged
-  const auto& record = reactor.table().front();
+  const bgp::Pfx2AsRecord record = reactor.table().front();
   EXPECT_EQ(record.prefix, net::Prefix::parse_or_throw("10.0.0.0/24"));
   EXPECT_EQ(record.origins, (std::vector<std::uint32_t>{4242}));
 }
@@ -485,6 +508,68 @@ TEST(StreamReactorTest, WithdrawnDeferredCellIsDroppedNotRescanned) {
   EXPECT_FALSE(reactor.partition()
                    .index_of(net::Prefix::parse_or_throw("12.0.1.0/24"))
                    .has_value());
+}
+
+TEST(StreamReactorTest, ReusedSlotTakesTheNewOriginsForPacingAndTable) {
+  SmallWorld world = small_world();
+  double now = 1000.0;
+  ReactorOptions options;
+  options.as_probes_per_second = 1.0;
+  options.as_probe_burst = 1.0;
+  options.clock = [&now] { return now; };
+  StreamReactor reactor(world.table, world.counts, options);
+
+  RangeOracle oracle;
+  const scan::ScanEngine engine;
+  reactor.set_rescanner(&oracle, &engine);
+
+  // Spend AS 500's whole burst on a first new cell.
+  reactor.feed(wire_of(announce_delta({{"12.0.0.0/24", 500}})));
+  reactor.flush();
+  ASSERT_EQ(reactor.stats().paced_deferrals, 0u);
+
+  // One batch: withdraw 10.0.1.0/24 (AS 101, slot 1) and announce a
+  // disjoint prefix from AS 500, which reuses the freed slot. The rescan
+  // is charged to AS 500's dry bucket and held; charged to AS 101's
+  // untouched bucket it would have run.
+  bgp::RibDelta swap = withdraw_delta({"10.0.1.0/24"});
+  swap.announce = announce_delta({{"13.0.0.0/24", 500}}).announce;
+  reactor.feed(wire_of(swap));
+  reactor.flush();
+
+  const auto cell =
+      reactor.partition().index_of(net::Prefix::parse_or_throw("13.0.0.0/24"));
+  ASSERT_EQ(cell, std::optional<std::uint32_t>{1});  // the reused slot
+  ReactorStats stats = reactor.stats();
+  EXPECT_EQ(stats.paced_deferrals, 1u);
+  EXPECT_EQ(stats.deferred_pending, 1u);
+  EXPECT_EQ(reactor.counts()[*cell], 0u);
+
+  const std::vector<bgp::Pfx2AsRecord> table = reactor.table();
+  const auto find = [&](const char* text) {
+    return std::find_if(table.begin(), table.end(), [&](const auto& r) {
+      return r.prefix == net::Prefix::parse_or_throw(text);
+    });
+  };
+  EXPECT_EQ(find("10.0.1.0/24"), table.end());
+  ASSERT_NE(find("13.0.0.0/24"), table.end());
+  EXPECT_EQ(find("13.0.0.0/24")->origins, (std::vector<std::uint32_t>{500}));
+  EXPECT_TRUE(std::is_sorted(
+      table.begin(), table.end(),
+      [](const auto& a, const auto& b) { return a.prefix < b.prefix; }));
+
+  // Re-announcing the same origins changes nothing.
+  reactor.feed(wire_of(announce_delta({{"13.0.0.0/24", 500}})));
+  reactor.flush();
+  stats = reactor.stats();
+  EXPECT_EQ(stats.noop_updates, 1u);
+  EXPECT_EQ(stats.applied_reorigins, 0u);
+
+  // Once AS 500's budget refills the held cell is rescanned.
+  now += 60.0;
+  EXPECT_TRUE(reactor.poll());
+  EXPECT_EQ(reactor.stats().deferred_pending, 0u);
+  EXPECT_EQ(reactor.counts()[*cell], 64u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace tass::util {
@@ -95,19 +96,27 @@ TEST(RunChunks, ShardCountLargerThanRangeIsClamped) {
 }
 
 TEST(ThreadPool, PropagatesTheFirstException) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.for_each_shard(32,
-                          [&](std::size_t shard) {
-                            if (shard == 7) {
-                              throw std::runtime_error("shard 7 failed");
-                            }
-                            completed.fetch_add(1);
-                          }),
-      std::runtime_error);
-  // The remaining shards still ran to completion.
-  EXPECT_EQ(completed.load(), 31);
+  // ThreadPool(1) has no workers and runs the region inline; the contract
+  // is the same there, and inline the first error is shard 7's.
+  for (const unsigned threads : {4u, 1u}) {
+    ThreadPool pool(threads);
+    std::atomic<int> completed{0};
+    try {
+      pool.for_each_shard(32, [&](std::size_t shard) {
+        if (shard == 7 || shard == 20) {
+          throw std::runtime_error("shard " + std::to_string(shard));
+        }
+        completed.fetch_add(1);
+      });
+      ADD_FAILURE() << "no exception with " << threads << " threads";
+    } catch (const std::runtime_error& error) {
+      if (threads == 1) {
+        EXPECT_STREQ(error.what(), "shard 7");
+      }
+    }
+    // The remaining shards still ran to completion.
+    EXPECT_EQ(completed.load(), 30) << threads;
+  }
 }
 
 TEST(ThreadPool, NestedRegionsMakeProgress) {
