@@ -320,11 +320,11 @@ void BasicPrefixPartition<Family>::locate_many(
 template <class Family>
 std::optional<std::uint32_t> BasicPrefixPartition<Family>::index_of(
     Prefix prefix) const {
-  const auto it = std::lower_bound(
-      sorted_view_.begin(), sorted_view_.end(), prefix,
-      [](const SortedCell& cell, Prefix p) { return cell.prefix < p; });
-  if (it == sorted_view_.end() || it->prefix != prefix) return std::nullopt;
-  return it->slot;
+  // The cells are disjoint, so a cell equal to `prefix` is the one cell
+  // covering its network address: one LPM lookup, not a binary search.
+  const auto cell = locate(prefix.network());
+  if (!cell || prefixes_view_[*cell] != prefix) return std::nullopt;
+  return cell;
 }
 
 template <class Family>

@@ -303,7 +303,7 @@ class BasicPrefixPartition {
   void sync_views() noexcept;
 
   std::vector<Prefix> prefixes_;
-  // Live cells sorted by (network, length) for index_of binary search.
+  // Live cells sorted by (network, length): the sorted view.
   std::vector<SortedCell> sorted_;
   Index index_;
   std::uint64_t address_count_ = 0;

@@ -626,8 +626,9 @@ void Server::handle_query(std::size_t shard, const RequestHeader& request,
               ? scratch_[shard].counts6
               : scratch_[shard].counts4;
       // The scratch vector is all-zero between requests; resizing keeps
-      // that invariant (shrink drops zeros, grow appends zeros), so one
-      // tally pays only for the cells it touches.
+      // that invariant (shrink drops zeros, grow appends zeros), so it is
+      // never cleared. The reply loop below scans every slot to find the
+      // touched ones and re-zero them: O(slots) per tally.
       if (counts.size() != image.partition().size()) {
         counts.resize(image.partition().size(), 0);
       }

@@ -180,7 +180,9 @@ class Server {
   void perform_reload(const ReloadJob& job);
 
   // Per-shard, per-family tally scratch: kept all-zero between
-  // requests so a tally request only pays for the cells it touched.
+  // requests, so a tally never clears or reallocates it. The reply loop
+  // still scans every partition slot for the nonzero counts, so a tally
+  // costs O(slots) on top of its lookups (ROADMAP item 14).
   struct TallyScratch {
     std::vector<std::uint32_t> counts4;
     std::vector<std::uint32_t> counts6;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <optional>
 
 #include "core/reseed.hpp"
@@ -20,17 +21,6 @@ double steady_seconds() {
       .count();
 }
 
-/// True when `prefix` overlaps a prefix of the ascending, pairwise
-/// disjoint `sorted` set. Only two entries can: the first at or after
-/// `prefix` (overlapping only if it starts inside `prefix`) and the one
-/// before it (overlapping only if it contains `prefix`).
-bool overlaps_sorted(const net::Prefix& prefix,
-                     const std::vector<net::Prefix>& sorted) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), prefix);
-  return (it != sorted.end() && prefix.contains(*it)) ||
-         (it != sorted.begin() && std::prev(it)->contains(prefix));
-}
-
 }  // namespace
 
 StreamReactor::StreamReactor(std::vector<bgp::Pfx2AsRecord> table,
@@ -43,12 +33,12 @@ StreamReactor::StreamReactor(std::vector<bgp::Pfx2AsRecord> table,
   TASS_EXPECTS(counts_.size() == table.size());
   std::vector<net::Prefix> prefixes;
   prefixes.reserve(table.size());
-  origins_.reserve(table.size());
+  origins_.resize(table.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
     TASS_EXPECTS(!table[i].origins.empty());
     if (i > 0) TASS_EXPECTS(table[i - 1].prefix < table[i].prefix);
     prefixes.push_back(table[i].prefix);
-    origins_.push_back(std::move(table[i].origins));
+    origins_.assign(static_cast<std::uint32_t>(i), std::move(table[i].origins));
   }
   partition_ = bgp::PrefixPartition(std::move(prefixes));
   ranking_ = core::rank_by_density(std::span<const std::uint32_t>(counts_),
@@ -66,12 +56,58 @@ void StreamReactor::set_publisher(Publisher publisher) {
   publisher_ = std::move(publisher);
 }
 
+void StreamReactor::SlotOrigins::resize(std::size_t slots) {
+  for (std::size_t slot = slots; slot < slots_.size(); ++slot) {
+    clear(static_cast<std::uint32_t>(slot));
+  }
+  slots_.resize(slots);
+}
+
+std::span<const std::uint32_t> StreamReactor::SlotOrigins::operator[](
+    std::uint32_t slot) const {
+  const Slot& entry = slots_[slot];
+  if (entry.size <= 2) return {entry.data, entry.size};
+  return spill_[entry.data[0]];
+}
+
+void StreamReactor::SlotOrigins::assign(std::uint32_t slot,
+                                        std::vector<std::uint32_t>&& origins) {
+  Slot& entry = slots_[slot];
+  if (origins.size() <= 2) {
+    clear(slot);
+    entry.size = static_cast<std::uint32_t>(origins.size());
+    std::copy(origins.begin(), origins.end(), entry.data);
+    return;
+  }
+  if (entry.size <= 2) {
+    if (free_spill_.empty()) {
+      entry.data[0] = static_cast<std::uint32_t>(spill_.size());
+      spill_.emplace_back();
+    } else {
+      entry.data[0] = free_spill_.back();
+      free_spill_.pop_back();
+    }
+  }
+  entry.size = static_cast<std::uint32_t>(origins.size());
+  spill_[entry.data[0]] = std::move(origins);
+}
+
+void StreamReactor::SlotOrigins::clear(std::uint32_t slot) {
+  Slot& entry = slots_[slot];
+  if (entry.size > 2) {
+    spill_[entry.data[0]] = {};
+    free_spill_.push_back(entry.data[0]);
+  }
+  entry = Slot{};
+}
+
 std::vector<bgp::Pfx2AsRecord> StreamReactor::table() const {
   const bgp::PrefixPartition::Raw raw = partition_.raw();
   std::vector<bgp::Pfx2AsRecord> table;
   table.reserve(raw.sorted.size());
   for (const bgp::SortedCell& cell : raw.sorted) {
-    table.push_back({cell.prefix, origins_[cell.slot]});
+    const std::span<const std::uint32_t> origins = origins_[cell.slot];
+    table.push_back({cell.prefix, {origins.begin(), origins.end()}});
   }
   return table;
 }
@@ -114,14 +150,15 @@ void StreamReactor::drain_framer(bool blocking) {
   }
 }
 
-void StreamReactor::enqueue_action(PrefixAction action, bool blocking) {
+void StreamReactor::enqueue_action(PrefixAction&& action, bool blocking) {
   if (blocking) {
     queue_.offer(std::move(action));  // false only when closed: shutdown
     return;
   }
   // Sync mode: a full queue is drained inline — backpressure becomes an
   // immediate batch on the caller's thread, so kBlock never deadlocks.
-  while (!queue_.try_offer(action)) {
+  // A refused try_offer leaves `action` whole for the retry.
+  while (!queue_.try_offer(std::move(action))) {
     if (queue_.closed()) return;
     const bool did_work = process_batch();
     TASS_EXPECTS(did_work);  // the queue was full, so a batch must drain
@@ -153,23 +190,26 @@ void StreamReactor::collect_ready_deferred(
 
 bool StreamReactor::process_batch() {
   const double now = clock_();
-  std::vector<PrefixAction> actions = queue_.drain(options_.max_batch);
+  queue_.drain(batch_, options_.max_batch);
 
   double oldest = std::numeric_limits<double>::infinity();
 
   // --- Classify against the live partition ----------------------------
   std::vector<net::Prefix> removes;
   std::vector<std::uint32_t> withdrawn_cells;
-  std::vector<PrefixAction> adds;
-  std::vector<net::Prefix> adds_sorted;  // overlap probe set, ascending
+  // The batch's accepted adds by prefix, each naming its action in
+  // batch_: the in-batch overlap probe (a neighbour lookup), and, walked
+  // in order, the ascending add list apply_delta wants.
+  std::pmr::map<net::Prefix, std::uint32_t> adds(&add_nodes_);
   std::uint64_t announces = 0, withdraws = 0, reorigins = 0, noops = 0,
                 rejected = 0;
+  withdrawn_.resize(partition_.size());
   const auto withdrawn = [&](std::uint32_t cell) {
-    return std::find(withdrawn_cells.begin(), withdrawn_cells.end(), cell) !=
-           withdrawn_cells.end();
+    return withdrawn_[cell] != 0;
   };
 
-  for (PrefixAction& action : actions) {
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    PrefixAction& action = batch_[i];
     const std::optional<std::uint32_t> cell =
         partition_.index_of(action.prefix);
     if (action.is_withdraw()) {
@@ -179,49 +219,59 @@ bool StreamReactor::process_batch() {
       }
       removes.push_back(action.prefix);
       withdrawn_cells.push_back(*cell);
+      withdrawn_[*cell] = 1;
       ++withdraws;
       oldest = std::min(oldest, action.enqueued_at);
       continue;
     }
     if (cell) {
-      if (origins_[*cell] == *action.origins) {
+      if (std::ranges::equal(origins_[*cell], *action.origins)) {
         ++noops;  // re-announcement with unchanged origins
       } else {
-        origins_[*cell] = std::move(*action.origins);
+        origins_.assign(*cell, std::move(*action.origins));
         ++reorigins;
         oldest = std::min(oldest, action.enqueued_at);
       }
       continue;
     }
-    // A cell withdrawn earlier in this batch no longer blocks an add.
-    if (partition_.overlapping_cell(action.prefix, withdrawn) ||
-        overlaps_sorted(action.prefix, adds_sorted)) {
+    // Of the disjoint accepted adds, only the first at or after the
+    // prefix (starting inside it) and the one before it (containing it)
+    // can overlap it. A cell withdrawn earlier in this batch no longer
+    // blocks an add.
+    const auto next = adds.lower_bound(action.prefix);
+    if ((next != adds.end() && action.prefix.contains(next->first)) ||
+        (next != adds.begin() &&
+         std::prev(next)->first.contains(action.prefix)) ||
+        partition_.overlapping_cell(action.prefix, withdrawn)) {
       ++rejected;  // keeps the partition disjoint; counted, never applied
       continue;
     }
-    adds_sorted.insert(
-        std::lower_bound(adds_sorted.begin(), adds_sorted.end(),
-                         action.prefix),
-        action.prefix);
+    adds.emplace_hint(next, action.prefix, static_cast<std::uint32_t>(i));
     ++announces;
     oldest = std::min(oldest, action.enqueued_at);
-    adds.push_back(std::move(action));
   }
+  for (const std::uint32_t cell : withdrawn_cells) withdrawn_[cell] = 0;
 
   // --- Patch the partition and the per-slot origins --------------------
   // apply_delta assigns slots in `add` order, so ascending adds give the
   // slots the batch path's (sorted) partition_delta would.
-  std::sort(adds.begin(), adds.end(),
-            [](const PrefixAction& a, const PrefixAction& b) {
-              return a.prefix < b.prefix;
-            });
-  bgp::PartitionDelta pdelta{std::move(removes), std::move(adds_sorted)};
+  bgp::PartitionDelta pdelta;
+  pdelta.remove = std::move(removes);
+  std::vector<std::uint32_t> add_actions;  // batch_ index per pdelta.add
+  pdelta.add.reserve(adds.size());
+  add_actions.reserve(adds.size());
+  for (const auto& [prefix, index] : adds) {
+    pdelta.add.push_back(prefix);
+    add_actions.push_back(index);
+  }
   bgp::PartitionApplyResult result;
   if (!pdelta.empty()) {
     result = partition_.apply_delta(pdelta);
-    result.reindex(origins_);
-    for (std::size_t i = 0; i < adds.size(); ++i) {
-      origins_[result.added_cells[i]] = std::move(*adds[i].origins);
+    origins_.resize(result.new_cell_count);
+    for (const std::uint32_t cell : result.removed_cells) origins_.clear(cell);
+    for (std::size_t i = 0; i < add_actions.size(); ++i) {
+      origins_.assign(result.added_cells[i],
+                      std::move(*batch_[add_actions[i]].origins));
     }
   } else {
     result.old_cell_count =
@@ -252,7 +302,8 @@ bool StreamReactor::process_batch() {
       const std::uint32_t asn = origins_[cell].front();
       if (try_spend_budget(asn, prefix, now)) continue;
       // added_cells is parallel to the sorted adds.
-      deferred_.push_back(Deferred{cell, prefix, asn, adds[i].enqueued_at});
+      deferred_.push_back(
+          Deferred{cell, prefix, asn, batch_[add_actions[i]].enqueued_at});
       held.push_back(cell);
     }
   }

@@ -23,12 +23,17 @@
 //
 // Routing state: the reactor keeps no routing table beside its
 // partition. The partition holds the live prefixes, and each slot's
-// origin set sits in a per-slot vector indexed like the counts. Each
+// origin set sits in a per-slot table indexed like the counts: one or
+// two ASNs inline in the slot, a longer AS set in a spill entry. Each
 // queued action is classified against the live partition: index_of
 // tells a withdraw, reorigin or no-op from an add, and an add that
 // PrefixPartition::overlapping_cell (the rule apply_delta enforces)
-// finds a surviving overlap for is rejected. table() is a view built
-// per call from the two.
+// finds a surviving overlap for is rejected, as is one overlapping an
+// add accepted earlier in the batch (first in FIFO order wins). A
+// per-slot flag answers "withdrawn this batch" in O(1), and the
+// batch's accepted adds sit in an ordered map, so each check costs
+// O(log n). table() is a view built per call from the partition and the
+// origins.
 //
 // Per-AS politeness (the paper's good-citizenship arm): when
 // `as_probes_per_second` is set, each origin AS owns a scan::TokenBucket
@@ -51,6 +56,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -217,6 +223,28 @@ class StreamReactor {
   ReactorStats stats() const;
 
  private:
+  /// Per-slot origin sets, indexed like counts_. A set of one or two
+  /// ASNs (the common case) is stored inline in its slot; a longer AS
+  /// set moves into a spill entry, and freed spill entries are reused.
+  class SlotOrigins {
+   public:
+    /// Grows or shrinks to `slots`; new slots hold the empty set.
+    void resize(std::size_t slots);
+    std::span<const std::uint32_t> operator[](std::uint32_t slot) const;
+    void assign(std::uint32_t slot, std::vector<std::uint32_t>&& origins);
+    void clear(std::uint32_t slot);
+
+   private:
+    struct Slot {
+      std::uint32_t size = 0;
+      // The ASNs when size <= 2; otherwise data[0] indexes spill_.
+      std::uint32_t data[2] = {0, 0};
+    };
+    std::vector<Slot> slots_;
+    std::vector<std::vector<std::uint32_t>> spill_;
+    std::vector<std::uint32_t> free_spill_;
+  };
+
   struct Deferred {
     std::uint32_t cell = 0;
     net::Prefix prefix;   // guards against slot reuse after removal
@@ -230,7 +258,7 @@ class StreamReactor {
   /// Decodes framer output into queue actions. `blocking` selects
   /// offer() (ingest thread) vs try_offer()+inline batch (sync mode).
   void drain_framer(bool blocking);
-  void enqueue_action(PrefixAction action, bool blocking);
+  void enqueue_action(PrefixAction&& action, bool blocking);
 
   /// Drains one batch through classify → delta → rescan → rerank →
   /// publish. Returns whether any work was done.
@@ -257,8 +285,14 @@ class StreamReactor {
 
   // Plan state (pipeline thread exclusively while running).
   bgp::PrefixPartition partition_;
-  std::vector<std::vector<std::uint32_t>> origins_;  // per slot, as counts_
+  SlotOrigins origins_;
   std::vector<std::uint32_t> counts_;
+  // Batch scratch, reused across batches: the drained actions, one
+  // "withdrawn this batch" flag per slot (all zero between batches) and
+  // the node pool of the batch's ordered add map.
+  std::vector<PrefixAction> batch_;
+  std::vector<std::uint8_t> withdrawn_;
+  std::pmr::unsynchronized_pool_resource add_nodes_;
   core::DensityRanking ranking_;
   std::vector<Deferred> deferred_;
   std::unordered_map<std::uint32_t, scan::TokenBucket> buckets_;

@@ -19,7 +19,10 @@
 
 #include <unistd.h>
 
+#include "bgp/partition.hpp"
 #include "bgp/rib_delta.hpp"
+#include "core/ranking.hpp"
+#include "core/reseed.hpp"
 #include "net/interval.hpp"
 #include "scan/engine.hpp"
 #include "stream/framer.hpp"
@@ -570,6 +573,154 @@ TEST(StreamReactorTest, ReusedSlotTakesTheNewOriginsForPacingAndTable) {
   EXPECT_TRUE(reactor.poll());
   EXPECT_EQ(reactor.stats().deferred_pending, 0u);
   EXPECT_EQ(reactor.counts()[*cell], 64u);
+}
+
+// --- Classification at batch scale --------------------------------------
+
+TEST(StreamReactorTest, OneBatchOfManySplitsMatchesTheBatchPath) {
+  // 160 /24 cells; one batch withdraws 120 of them and announces both
+  // /25 halves of each. Every half overlaps a cell withdrawn earlier in
+  // the same batch, and so must be applied, never rejected.
+  std::vector<bgp::Pfx2AsRecord> table;
+  std::vector<std::uint32_t> counts;
+  for (std::uint32_t i = 0; i < 160; ++i) {
+    table.push_back({net::Prefix(net::Ipv4Address(0x0a000000u + (i << 8)), 24),
+                     {64500 + i % 7}});
+    counts.push_back(i % 64);
+  }
+  bgp::RibDelta split;
+  for (std::uint32_t i = 0; i < 160; i += 4) {
+    for (std::uint32_t j = i; j < i + 3; ++j) {
+      const net::Prefix cell = table[j].prefix;
+      split.withdraw.push_back(cell);
+      split.announce.push_back(
+          {net::Prefix(cell.network(), 25), {65000 + j}});
+      split.announce.push_back(
+          {net::Prefix(net::Ipv4Address(cell.network().value() + 128), 25),
+           {65000 + j}});
+    }
+  }
+  ASSERT_GE(split.withdraw.size(), 100u);
+
+  RangeOracle oracle;
+  const scan::ScanEngine engine;
+  StreamReactor reactor(table, counts);
+  reactor.set_rescanner(&oracle, &engine);
+  reactor.feed(wire_of(split));
+  reactor.flush();
+
+  const ReactorStats stats = reactor.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.applied_withdraws, split.withdraw.size());
+  EXPECT_EQ(stats.applied_announces, split.announce.size());
+  EXPECT_EQ(stats.rejected_overlaps, 0u);
+  EXPECT_EQ(stats.noop_updates, 0u);
+
+  // Batch path: apply + partition_delta + apply_delta + churn_step.
+  std::vector<net::Prefix> initial;
+  for (const auto& record : table) initial.push_back(record.prefix);
+  bgp::PrefixPartition partition(std::move(initial));
+  core::DensityRanking ranking =
+      core::rank_by_density(std::span<const std::uint32_t>(counts), partition,
+                            core::PrefixMode::kMore);
+  const std::vector<bgp::Pfx2AsRecord> target_table = split.apply(table);
+  std::vector<net::Prefix> target;
+  for (const auto& record : target_table) target.push_back(record.prefix);
+  const bgp::PartitionApplyResult applied =
+      partition.apply_delta(bgp::partition_delta(partition, target));
+  core::churn_step(ranking, counts, partition, applied, &oracle);
+
+  EXPECT_EQ(reactor.table(), target_table);
+  const bgp::PrefixPartition& got = reactor.partition();
+  ASSERT_EQ(got.size(), partition.size());
+  for (std::uint32_t slot = 0; slot < got.size(); ++slot) {
+    ASSERT_EQ(got.live(slot), partition.live(slot)) << "slot " << slot;
+    if (!got.live(slot)) continue;
+    EXPECT_EQ(got.prefix(slot), partition.prefix(slot)) << "slot " << slot;
+  }
+  EXPECT_EQ(bgp::partition_fingerprint(got),
+            bgp::partition_fingerprint(partition));
+  EXPECT_TRUE(std::ranges::equal(reactor.counts(), counts));
+  EXPECT_EQ(reactor.ranking().ranked.size(), ranking.ranked.size());
+  EXPECT_EQ(reactor.ranking().total_hosts, ranking.total_hosts);
+}
+
+TEST(StreamReactorTest, OverlappingAddsInOneBatchFirstInFifoOrderWins) {
+  const auto run = [](std::initializer_list<const char*> order) {
+    SmallWorld world = small_world();
+    StreamReactor reactor(world.table, world.counts);
+    // One feed per add: the queue keeps them in this FIFO order, and one
+    // flush classifies them in one batch.
+    for (const char* text : order) {
+      reactor.feed(wire_of(announce_delta({{text, 999}})));
+    }
+    reactor.flush();
+    EXPECT_EQ(reactor.stats().batches, 1u);
+    return reactor.table();
+  };
+  const auto has = [](const std::vector<bgp::Pfx2AsRecord>& table,
+                      const char* text) {
+    return std::ranges::any_of(table, [&](const bgp::Pfx2AsRecord& r) {
+      return r.prefix == net::Prefix::parse_or_throw(text);
+    });
+  };
+
+  // Covering first: the /16 wins; the /24 nested in it is rejected, and
+  // a disjoint later add still lands.
+  const auto covering_first =
+      run({"12.0.0.0/16", "12.0.5.0/24", "13.0.0.0/24"});
+  EXPECT_TRUE(has(covering_first, "12.0.0.0/16"));
+  EXPECT_FALSE(has(covering_first, "12.0.5.0/24"));
+  EXPECT_TRUE(has(covering_first, "13.0.0.0/24"));
+
+  // Nested first: the /24 wins; the /16 covering it is rejected, and
+  // the rejected /16 blocks nothing: a /17 beside the /24 lands.
+  const auto nested_first =
+      run({"12.0.5.0/24", "12.0.0.0/16", "12.0.128.0/17"});
+  EXPECT_TRUE(has(nested_first, "12.0.5.0/24"));
+  EXPECT_FALSE(has(nested_first, "12.0.0.0/16"));
+  EXPECT_TRUE(has(nested_first, "12.0.128.0/17"));
+}
+
+TEST(StreamReactorTest, LongAsSetsRoundTripThroughTable) {
+  SmallWorld world = small_world();
+  StreamReactor reactor(world.table, world.counts);
+  const net::Prefix cell = net::Prefix::parse_or_throw("10.0.2.0/24");
+  const auto reorigin = [&](std::vector<std::uint32_t> origins) {
+    bgp::RibDelta delta;
+    delta.announce.push_back({cell, origins});
+    reactor.feed(wire_of(delta));
+    reactor.flush();
+    const std::vector<bgp::Pfx2AsRecord> table = reactor.table();
+    const auto it = std::ranges::find_if(
+        table, [&](const bgp::Pfx2AsRecord& r) { return r.prefix == cell; });
+    ASSERT_NE(it, table.end());
+    EXPECT_EQ(it->origins, origins);
+  };
+  // Five ASNs spill out of the slot; back to one, then a longer set
+  // again (reusing the freed spill entry), then two inline.
+  reorigin({64501, 64502, 64503, 64504, 64505});
+  reorigin({7});
+  reorigin({11, 12, 13});
+  reorigin({21, 22});
+  EXPECT_EQ(reactor.stats().applied_reorigins, 4u);
+
+  // A withdrawn spilled cell re-announced with a short set, and a new
+  // cell with a long one.
+  reorigin({31, 32, 33, 34});
+  reactor.feed(wire_of(withdraw_delta({"10.0.2.0/24"})));
+  reactor.flush();
+  bgp::RibDelta delta;
+  delta.announce.push_back({cell, {41}});
+  delta.announce.push_back(
+      {net::Prefix::parse_or_throw("12.0.0.0/24"), {51, 52, 53, 54, 55, 56}});
+  reactor.feed(wire_of(delta));
+  reactor.flush();
+  std::vector<bgp::Pfx2AsRecord> want = world.table;
+  want[2].origins = {41};
+  want.push_back({net::Prefix::parse_or_throw("12.0.0.0/24"),
+                  {51, 52, 53, 54, 55, 56}});
+  EXPECT_EQ(reactor.table(), want);
 }
 
 }  // namespace
