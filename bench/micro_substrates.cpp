@@ -25,7 +25,7 @@
 #include "net/ipv6.hpp"
 #include "net/prefix.hpp"
 #include "scan/blocklist.hpp"
-#include "scan/scope6.hpp"
+#include "scan/scope.hpp"
 #include "trie/lpm_index.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"

@@ -29,7 +29,7 @@
 #include "core/selection.hpp"
 #include "report/table.hpp"
 #include "scan/blocklist.hpp"
-#include "scan/scope6.hpp"
+#include "scan/scope.hpp"
 #include "state/image.hpp"
 #include "util/rng.hpp"
 

@@ -3,8 +3,8 @@
 // The paper's §5 observes that a TASS selection can be post-processed
 // into an equivalent — or slightly larger — prefix list without changing
 // what gets scanned. Every downstream consumer pays per-prefix costs
-// (ScanScope interval/LPM builds, TSIM encoding, blocklist indexes,
-// serve replies, exported ACLs), so collapsing a selection into far
+// (ScanScope range builds, TSIM encoding, serve replies, exported
+// ACLs), so collapsing a selection into far
 // fewer, slightly coarser prefixes is a cross-cutting perf lever. This
 // header provides both halves, family-generic over net::Ipv4Family /
 // net::Ipv6Family:

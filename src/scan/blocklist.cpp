@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "net/family.hpp"
 #include "net/special_use.hpp"
@@ -11,8 +12,10 @@
 namespace tass::scan {
 
 Blocklist Blocklist::parse(std::string_view text) {
-  net::IntervalSet blocked;
-  std::vector<net::Ipv6Prefix> blocked6;
+  // Each family's entries are collected, then become one set in one sort
+  // and one merge pass, so a long blocklist parses in O(n log n).
+  std::vector<net::Interval> blocked;
+  std::vector<net::Interval6> blocked6;
   util::LineCursor lines(text);
   for (std::string_view raw; lines.next(raw);) {
     std::string_view line = raw;
@@ -24,8 +27,8 @@ Blocklist Blocklist::parse(std::string_view text) {
 
     if (const auto dash = line.find('-');
         dash != std::string_view::npos) {
-      // Ranges are a v4-only extension (128-bit range-to-CIDR cover is
-      // not implemented; the parser says so rather than guessing).
+      // Ranges are a v4-only extension of the ZMap grammar; a v6 line
+      // with a dash is rejected outright rather than guessed at.
       if (line.find(':') != std::string_view::npos) {
         throw ParseError(
             "IPv6 blocklist ranges are not supported (use prefixes): '" +
@@ -39,23 +42,19 @@ Blocklist Blocklist::parse(std::string_view text) {
         throw ParseError("blocklist range is inverted: '" +
                          std::string(line) + "'");
       }
-      blocked.insert(net::Interval{first, last});
+      blocked.push_back({first, last});
     } else {
       // One grammar for both families: a CIDR prefix or a bare address
       // (a full-length block), dispatched by the detected family.
-      // IPv6 entries used to fail the v4 grammar; they are first-class
-      // now, and malformed lines of either family still throw.
       const auto entry = net::GenericPrefix::parse_or_throw(line);
       if (const auto prefix = entry.v4()) {
-        blocked.insert(*prefix);
+        blocked.push_back(net::Interval::of(*prefix));
       } else {
-        blocked6.push_back(*entry.v6());
+        blocked6.push_back(net::Interval6::of(*entry.v6()));
       }
     }
   }
-  Blocklist result(std::move(blocked));
-  for (const net::Ipv6Prefix prefix : blocked6) result.add(prefix);
-  return result;
+  return Blocklist(net::IntervalSet(blocked), net::IntervalSet6(blocked6));
 }
 
 Blocklist Blocklist::load(const std::string& path) {

@@ -9,41 +9,28 @@
 //   2001:db8::7         # a single IPv6 address (a /128 block)
 // with '#' comments and blank lines ignored. The default blocklist is the
 // IANA special-use registry — what every good Internet citizen excludes
-// before probing anything. Both families are first-class: v4 entries
-// populate the interval set and v4 index, v6 entries the v6 prefix list
-// and index, and malformed lines of either family throw (parse-or-throw;
-// nothing is ever silently dropped). IPv6 ranges ("a-b") are not
-// supported — 128-bit range-to-CIDR cover is not implemented; use
-// prefixes (the parser says so explicitly rather than guessing).
-//
-// The membership check rides on the trie::BasicLpmIndex substrate, so
-// blocks() costs a couple of dependent loads on the scan hot path; the
-// IntervalSet remains the authority for v4 set algebra and accounting.
-// The indexes are rebuilt lazily on the first query after a mutation (so
-// an add() loop is O(n), not O(n^2)); mutation and the first query after
-// it must not race with concurrent queries — queries on a settled
-// blocklist are const-thread-safe.
+// before probing anything. Both families are first-class: each family's
+// entries form one net::BasicIntervalSet, blocks() is one binary search
+// over it, and malformed lines of either family throw (parse-or-throw;
+// nothing is ever silently dropped). IPv6 ranges ("a-b") are rejected:
+// the grammar keeps ranges a v4 extension, and the parser says so
+// explicitly rather than guessing. A blocklist holds no lazy state, so
+// concurrent const queries are safe at any time.
 #pragma once
 
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "net/interval.hpp"
-#include "net/ipv6.hpp"
-#include "trie/lpm_index.hpp"
-#include "trie/lpm_index6.hpp"
 
 namespace tass::scan {
 
 class Blocklist {
  public:
   Blocklist() = default;
-  explicit Blocklist(net::IntervalSet blocked)
-      : blocked_(std::move(blocked)) {
-    refresh();
-  }
+  explicit Blocklist(net::IntervalSet blocked, net::IntervalSet6 blocked6 = {})
+      : blocked_(std::move(blocked)), blocked6_(std::move(blocked6)) {}
 
   /// Parses blocklist text (both families). Throws tass::ParseError on
   /// malformed lines.
@@ -55,53 +42,25 @@ class Blocklist {
   /// The RFC special-use registry blocklist (IPv4 registry).
   static Blocklist default_blocklist();
 
-  void add(net::Prefix prefix) {
-    blocked_.insert(prefix);
-    dirty_ = true;
-  }
-  void add(net::Interval interval) {
-    blocked_.insert(interval);
-    dirty_ = true;
-  }
-  void add(net::Ipv6Prefix prefix) {
-    blocked6_.push_back(prefix);
-    dirty6_ = true;
-  }
+  void add(net::Prefix prefix) { blocked_.insert(prefix); }
+  void add(net::Interval interval) { blocked_.insert(interval); }
+  void add(net::Ipv6Prefix prefix) { blocked6_.insert(prefix); }
 
-  bool blocks(net::Ipv4Address addr) const {
-    if (dirty_) refresh();
-    return index_.covers(addr);
+  bool blocks(net::Ipv4Address addr) const noexcept {
+    return blocked_.contains(addr);
   }
-  bool blocks(net::Ipv6Address addr) const {
-    if (dirty6_) refresh6();
-    return index6_.covers(addr);
+  bool blocks(net::Ipv6Address addr) const noexcept {
+    return blocked6_.contains(addr);
   }
   const net::IntervalSet& blocked() const noexcept { return blocked_; }
-  /// The IPv6 entries, in insertion order (not deduplicated; membership
-  /// queries resolve through the index, which handles nesting).
-  std::span<const net::Ipv6Prefix> blocked6() const noexcept {
-    return blocked6_;
-  }
+  const net::IntervalSet6& blocked6() const noexcept { return blocked6_; }
   std::uint64_t blocked_addresses() const noexcept {
     return blocked_.address_count();
   }
 
  private:
-  void refresh() const {
-    index_ = trie::LpmIndex::from_prefixes(blocked_.to_prefixes());
-    dirty_ = false;
-  }
-  void refresh6() const {
-    index6_ = trie::LpmIndex6::from_prefixes(blocked6_);
-    dirty6_ = false;
-  }
-
   net::IntervalSet blocked_;
-  std::vector<net::Ipv6Prefix> blocked6_;
-  mutable trie::LpmIndex index_;
-  mutable trie::LpmIndex6 index6_;
-  mutable bool dirty_ = false;
-  mutable bool dirty6_ = false;
+  net::IntervalSet6 blocked6_;
 };
 
 }  // namespace tass::scan

@@ -2,10 +2,10 @@
 // parameterized over the address family (net::Ipv4Family /
 // net::Ipv6Family).
 //
-// This is the unified match substrate behind every per-address decision a
-// scan cycle makes: prefix/AS attribution (bgp::PrefixPartition), blocklist
-// checks (scan::Blocklist), special-use classification (net::special_use)
-// and scope membership (scan::ScanScope). It is built once from a
+// This is the match substrate behind prefix/AS attribution
+// (bgp::PrefixPartition) and special-use classification
+// (net::special_use); blocklist checks and scope membership are binary
+// searches over net::BasicIntervalSet ranges instead. It is built once from a
 // prefix -> value table and patched in place by update(); the
 // differential tests referee it against a naive per-length exact-match
 // oracle (bench/lpm_oracle.hpp).

@@ -83,7 +83,7 @@ TEST(DataFiles, BlocklistConfParses) {
       "2001:4860:dead::1")));
   EXPECT_FALSE(blocklist.blocks(net::Ipv6Address::parse_or_throw(
       "2001:4860:dead::2")));
-  EXPECT_EQ(blocklist.blocked6().size(), 2u);
+  EXPECT_EQ(blocklist.blocked6().interval_count(), 2u);
 }
 
 TEST(DataFiles, SamplePfx2As6AndHitlistDriveTheV6Pipeline) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <concepts>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,7 +19,7 @@
 #include "core/selection.hpp"
 #include "net/family.hpp"
 #include "scan/blocklist.hpp"
-#include "scan/scope6.hpp"
+#include "scan/scope.hpp"
 #include "state/image.hpp"
 #include "util/rng.hpp"
 
@@ -212,7 +213,7 @@ TEST(Blocklist6, ParsesBothFamiliesAndThrowsOnMalformed) {
   EXPECT_TRUE(blocklist.blocks(a6("2001:db8:beef::7")));
   EXPECT_FALSE(blocklist.blocks(a6("2001:db8:beef::8")));
   EXPECT_FALSE(blocklist.blocks(a6("2001:db8::1")));
-  EXPECT_EQ(blocklist.blocked6().size(), 2u);
+  EXPECT_EQ(blocklist.blocked6().interval_count(), 2u);
 
   // Malformed lines of either family keep parse-or-throw semantics —
   // nothing is silently dropped.
@@ -252,39 +253,84 @@ TEST(ScanScope6, FiltersCandidates) {
   EXPECT_TRUE(std::ranges::equal(scope.candidates(), in_scope));
 }
 
-// The address `delta` (+1 or -1) away, wrapping around the space.
-net::Ipv6Address step(net::Ipv6Address address, int delta) {
-  if (delta > 0) {
-    return {address.hi() + (address.lo() == ~0ULL), address.lo() + 1};
-  }
-  return {address.hi() - (address.lo() == 0), address.lo() - 1};
-}
+// Per-family generators for the admission reference: the prefix lengths
+// to draw, an anchor address that prefixes of several lengths nest
+// around, an address near an anchor, and the neighbours of an address.
+template <class Family>
+struct AdmissionSpace;
 
-TEST(ScanScope6, AdmissionMatchesPrefixReference) {
-  constexpr int kLengths[] = {1,  8,  16, 31, 32, 48, 56,  63, 64,
-                              65, 72, 96, 112, 120, 127, 128};
-  const net::Ipv6Address all_ones(~0ULL, ~0ULL);
+template <>
+struct AdmissionSpace<net::Ipv6Family> {
+  static constexpr int kLengths[] = {1,  8,  16, 31, 32, 48, 56,  63, 64,
+                                     65, 72, 96, 112, 120, 127, 128};
+  static net::Ipv6Address anchor(util::Rng& rng) {
+    const std::uint64_t hi = 0x20010db800000000ULL | rng.bounded(1 << 20);
+    const std::uint64_t lo = rng.chance(0.3) ? ~0ULL : rng();
+    return {hi, lo};
+  }
+  static net::Ipv6Address near(net::Ipv6Address anchor, util::Rng& rng) {
+    return {anchor.hi(), anchor.lo() ^ rng.bounded(256)};
+  }
+  // The address `delta` (+1 or -1) away, wrapping around the space.
+  static net::Ipv6Address step(net::Ipv6Address address, int delta) {
+    if (delta > 0) {
+      return {address.hi() + (address.lo() == ~0ULL), address.lo() + 1};
+    }
+    return {address.hi() - (address.lo() == 0), address.lo() - 1};
+  }
+};
+
+template <>
+struct AdmissionSpace<net::Ipv4Family> {
+  static constexpr int kLengths[] = {1,  8,  12, 16, 20, 23,
+                                     24, 25, 28, 30, 31, 32};
+  static net::Ipv4Address anchor(util::Rng& rng) {
+    const auto value =
+        0xc6000000u | static_cast<std::uint32_t>(rng.bounded(1 << 20));
+    return net::Ipv4Address(rng.chance(0.3) ? value | 0xffu : value);
+  }
+  static net::Ipv4Address near(net::Ipv4Address anchor, util::Rng& rng) {
+    return net::Ipv4Address(anchor.value() ^
+                            static_cast<std::uint32_t>(rng.bounded(256)));
+  }
+  static net::Ipv4Address step(net::Ipv4Address address, int delta) {
+    return net::Ipv4Address(address.value() +
+                            static_cast<std::uint32_t>(delta));
+  }
+};
+
+template <class Family>
+class ScanScopes : public ::testing::Test {};
+
+using Families = ::testing::Types<net::Ipv4Family, net::Ipv6Family>;
+TYPED_TEST_SUITE(ScanScopes, Families);
+
+// contains(), and for IPv6 the candidate admission, against the
+// definition: inside a selected prefix and inside no blocked one.
+TYPED_TEST(ScanScopes, AdmissionMatchesPrefixReference) {
+  using Family = TypeParam;
+  using Space = AdmissionSpace<Family>;
+  using Address = typename Family::Address;
+  using Prefix = typename Family::Prefix;
+  constexpr auto& kLengths = Space::kLengths;
+  const Address all_ones = net::BasicInterval<Family>::full_space().last;
   std::size_t admitted_total = 0;
   std::size_t rejected_total = 0;
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     util::Rng rng(util::mix64(seed, 0x5c09e6));
     // A few anchors, so prefixes of different lengths around one anchor
-    // nest; `::` and the all-ones address put ranges at both ends of
+    // nest; the zero and the all-ones address put ranges at both ends of
     // the space.
-    std::vector<net::Ipv6Address> anchors = {net::Ipv6Address(), all_ones};
-    for (int a = 0; a < 4; ++a) {
-      const std::uint64_t hi = 0x20010db800000000ULL | rng.bounded(1 << 20);
-      const std::uint64_t lo = rng.chance(0.3) ? ~0ULL : rng();
-      anchors.emplace_back(hi, lo);
-    }
+    std::vector<Address> anchors = {Address(), all_ones};
+    for (int a = 0; a < 4; ++a) anchors.push_back(Space::anchor(rng));
     const auto random_prefix = [&](int min_length) {
-      const net::Ipv6Address anchor = anchors[rng.bounded(anchors.size())];
+      const Address anchor = anchors[rng.bounded(anchors.size())];
       int length = kLengths[rng.bounded(std::size(kLengths))];
       length = std::max(length, min_length);
-      return net::Ipv6Prefix(anchor, length);
+      return Prefix(anchor, length);
     };
 
-    std::vector<net::Ipv6Prefix> whitelist;
+    std::vector<Prefix> whitelist;
     const std::size_t selected_count = 1 + rng.bounded(12);
     for (std::size_t i = 0; i < selected_count; ++i) {
       whitelist.push_back(random_prefix(0));
@@ -293,12 +339,12 @@ TEST(ScanScope6, AdmissionMatchesPrefixReference) {
     whitelist.push_back(whitelist[rng.bounded(whitelist.size())]);  // a twin
 
     scan::Blocklist blocklist;
-    std::vector<net::Ipv6Prefix> blocked;
+    std::vector<Prefix> blocked;
     const std::size_t block_count = 1 + rng.bounded(6);
     for (std::size_t i = 0; i < block_count; ++i) {
-      const net::Ipv6Prefix base = whitelist[rng.bounded(whitelist.size())];
-      const int longer =
-          std::min(128, base.length() + 1 + static_cast<int>(rng.bounded(40)));
+      const Prefix base = whitelist[rng.bounded(whitelist.size())];
+      const int longer = std::min(
+          Family::kBits, base.length() + 1 + static_cast<int>(rng.bounded(40)));
       switch (rng.bounded(4)) {
         case 0:  // a hole at the selected range's start
           blocked.emplace_back(base.first(), longer);
@@ -316,56 +362,59 @@ TEST(ScanScope6, AdmissionMatchesPrefixReference) {
           break;
       }
     }
-    for (const net::Ipv6Prefix& prefix : blocked) blocklist.add(prefix);
+    for (const Prefix& prefix : blocked) blocklist.add(prefix);
 
-    std::vector<net::Ipv6Address> candidates = {net::Ipv6Address(), all_ones};
+    std::vector<Address> candidates = {Address(), all_ones};
     for (const auto* prefixes : {&whitelist, &blocked}) {
-      for (const net::Ipv6Prefix& prefix : *prefixes) {
-        for (const net::Ipv6Address edge : {prefix.first(), prefix.last()}) {
+      for (const Prefix& prefix : *prefixes) {
+        for (const Address edge : {prefix.first(), prefix.last()}) {
           candidates.push_back(edge);
-          candidates.push_back(step(edge, -1));
-          candidates.push_back(step(edge, +1));
+          candidates.push_back(Space::step(edge, -1));
+          candidates.push_back(Space::step(edge, +1));
         }
       }
     }
-    for (const net::Ipv6Address anchor : anchors) {
-      candidates.emplace_back(anchor.hi(), anchor.lo() ^ rng.bounded(256));
+    for (const Address anchor : anchors) {
+      candidates.push_back(Space::near(anchor, rng));
     }
     const std::size_t distinct = candidates.size();
     for (std::size_t i = 0; i < distinct / 4; ++i) {
       candidates.push_back(candidates[rng.bounded(distinct)]);  // repeats
     }
     // A long run of one address: a sort bucket that cannot be split.
-    const net::Ipv6Address run = candidates[rng.bounded(distinct)];
+    const Address run = candidates[rng.bounded(distinct)];
     candidates.insert(candidates.end(), 80, run);
     rng.shuffle(std::span(candidates));
 
-    const auto admitted = [&](net::Ipv6Address address) {
-      const auto holds = [address](const net::Ipv6Prefix& prefix) {
+    const auto admitted = [&](Address address) {
+      const auto holds = [address](const Prefix& prefix) {
         return prefix.contains(address);
       };
       return std::ranges::any_of(whitelist, holds) &&
              std::ranges::none_of(blocked, holds);
     };
-    scan::ScanScope6 scope(whitelist, blocklist);
-    const std::size_t split = rng.bounded(candidates.size() + 1);
-    const std::span<const net::Ipv6Address> all(candidates);
-    std::vector<net::Ipv6Address> expected;
-    for (const auto batch : {all.first(split), all.subspan(split)}) {
-      const auto before = expected.size();
-      for (const net::Ipv6Address address : batch) {
-        if (admitted(address)) expected.push_back(address);
+    scan::BasicScanScope<Family> scope(whitelist, blocklist);
+    if constexpr (std::same_as<Family, net::Ipv6Family>) {
+      const std::size_t split = rng.bounded(candidates.size() + 1);
+      const std::span<const Address> all(candidates);
+      std::vector<Address> expected;
+      for (const auto batch : {all.first(split), all.subspan(split)}) {
+        const auto before = expected.size();
+        for (const Address address : batch) {
+          if (admitted(address)) expected.push_back(address);
+        }
+        EXPECT_EQ(scope.add_candidates(batch), expected.size() - before)
+            << "seed " << seed;
       }
-      admitted_total += expected.size() - before;
-      rejected_total += batch.size() - (expected.size() - before);
-      EXPECT_EQ(scope.add_candidates(batch), expected.size() - before)
+      std::ranges::sort(expected);
+      EXPECT_TRUE(std::ranges::equal(scope.candidates(), expected))
           << "seed " << seed;
     }
-    std::ranges::sort(expected);
-    EXPECT_TRUE(std::ranges::equal(scope.candidates(), expected))
-        << "seed " << seed;
-    for (const net::Ipv6Address address : candidates) {
-      EXPECT_EQ(scope.contains(address), admitted(address))
+    for (const Address address : candidates) {
+      const bool in_scope = admitted(address);
+      admitted_total += in_scope;
+      rejected_total += !in_scope;
+      EXPECT_EQ(scope.contains(address), in_scope)
           << "seed " << seed << " address " << address.to_string();
     }
   }

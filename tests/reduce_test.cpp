@@ -12,7 +12,6 @@
 #include "net/interval.hpp"
 #include "scan/blocklist.hpp"
 #include "scan/scope.hpp"
-#include "scan/scope6.hpp"
 
 namespace tass::bgp {
 namespace {
@@ -283,7 +282,7 @@ TEST(ReduceScope, V6OfReducedAdmitsEveryOriginalCandidate) {
   params.max_overshoot = 0.5;
   auto reduced =
       scan::ScanScope6::of_reduced(selection, blocklist, params, &stats);
-  EXPECT_LT(reduced.prefixes().size(), selection.size());
+  EXPECT_LT(stats.prefixes.size(), selection.size());
 
   const std::size_t exact_admitted = exact.add_candidates(hitlist);
   const std::size_t reduced_admitted = reduced.add_candidates(hitlist);

@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "census/population.hpp"
 #include "core/attribution.hpp"
@@ -59,6 +63,49 @@ TEST(Blocklist, LoadsFromFile) {
   EXPECT_TRUE(blocklist.blocks(Ipv4Address::parse_or_throw("172.20.0.1")));
   std::filesystem::remove(path);
   EXPECT_THROW(Blocklist::load(path.string()), Error);
+}
+
+TEST(Blocklist, ConcurrentQueriesNeedNoWarmUp) {
+  // Queries touch no lazy state, so threads may query a freshly parsed
+  // and mutated blocklist at once, with no query before them.
+  Blocklist blocklist = Blocklist::parse(
+      "192.0.2.0/24\n"
+      "10.0.0.0-10.0.0.255\n"
+      "2001:db8:dead::/48\n");
+  blocklist.add(Prefix::parse_or_throw("198.51.100.0/24"));
+  blocklist.add(net::Ipv6Prefix::parse_or_throw("2001:db8:beef::/64"));
+
+  const std::vector<std::pair<Ipv4Address, bool>> v4 = {
+      {Ipv4Address::parse_or_throw("192.0.2.9"), true},
+      {Ipv4Address::parse_or_throw("10.0.0.255"), true},
+      {Ipv4Address::parse_or_throw("10.0.1.0"), false},
+      {Ipv4Address::parse_or_throw("198.51.100.200"), true},
+      {Ipv4Address::parse_or_throw("8.8.8.8"), false}};
+  const std::vector<std::pair<net::Ipv6Address, bool>> v6 = {
+      {net::Ipv6Address::parse_or_throw("2001:db8:dead::1"), true},
+      {net::Ipv6Address::parse_or_throw("2001:db8:beef::7"), true},
+      {net::Ipv6Address::parse_or_throw("2001:db8:beef:1::7"), false},
+      {net::Ipv6Address::parse_or_throw("2001:db8::1"), false}};
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < 200; ++round) {
+        for (const auto& [address, blocked] : v4) {
+          wrong[t] += blocklist.blocks(address) != blocked;
+        }
+        for (const auto& [address, blocked] : v6) {
+          wrong[t] += blocklist.blocks(address) != blocked;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong, std::vector<int>(kThreads, 0));
 }
 
 TEST(ScanScope, SubtractsBlocklistFromWhitelist) {
